@@ -2,12 +2,12 @@
 statistically significant.
 
 The pipeline fits a variational Bayesian PCA to the (possibly partially
-observed) matrix, picks the component count with the best posterior-mean
-reconstruction, draws replicate matrices from the elementwise posterior
-predictive together with per-rank nulls that lack the tested component,
-and counts the leading components whose removal lowers their rank's
-normalised eigenvalue in nearly every draw, under a sequential
-Holm-Bonferroni step-down.
+observed) matrix once, at the largest component count, and lets the fit
+prune the components the data do not support.  It then draws replicate
+matrices from the elementwise posterior predictive together with
+per-rank nulls that lack the tested component, and counts the leading
+components whose removal lowers their rank's normalised eigenvalue in
+nearly every draw, under a sequential Holm-Bonferroni step-down.
 """
 
 from .errors import (
@@ -61,7 +61,6 @@ from .significance import (
 )
 from .synthetic import SyntheticSpec, draw_factors, generate, scenario_grid
 from .vbpca import (
-    RankScan,
     Reconstruction,
     VbpcaConfig,
     VbpcaModel,
@@ -83,7 +82,6 @@ __all__ = [
     "MaskedMatrix",
     "NullSpectra",
     "NumericalError",
-    "RankScan",
     "Reconstruction",
     "RngStream",
     "ShapeError",

@@ -83,12 +83,12 @@ def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
         "--conv-tol", type=float, default=1e-6, help="relative cost change to stop at"
     )
     parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument("--q-min", type=int, default=2, help="smallest component count scanned")
     parser.add_argument(
         "--q-max",
         type=int,
         default=None,
-        help="largest component count scanned (default min(rows-1, cols-1, 60))",
+        help="component count of the fit, which prunes the components the data "
+        "do not support (default min(rows-1, cols-1, 60))",
     )
     parser.add_argument(
         "--workers", type=int, default=1, help="parallel workers; never affects results"
@@ -102,7 +102,6 @@ def _options_from_args(args) -> AnalysisOptions:
         max_iters=args.iters,
         conv_tol=args.conv_tol,
         seed=args.seed,
-        q_min=args.q_min,
         q_max=args.q_max,
         workers=args.workers,
     )

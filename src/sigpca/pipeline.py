@@ -1,7 +1,8 @@
 """End-to-end composition: analyze a matrix, build reports, run grids.
 
-An analysis takes a centered masked matrix, scans component counts,
-reconstructs with the selected fit, samples replicate spectra from the
+An analysis takes a centered masked matrix, fits it once at the largest
+component count (the fit prunes the components the data do not support),
+reconstructs with that fit, samples replicate spectra from the
 elementwise posterior predictive (reconstruction variance plus noise
 variance) together with per-rank nulls that lack the tested component,
 and counts significant ranks.  All randomness derives from one master
@@ -41,10 +42,6 @@ _NULL_SEED_TAG = 2
 # Tag deriving a per-run analysis seed from a dataset seed in grids.
 _RUN_SEED_TAG = 101
 
-# Default cap on the component scan; larger matrices scan [2, 60] unless
-# overridden.
-DEFAULT_SCAN_CAP = 60
-
 _CENTER_RTOL = 1e-6
 
 # Reconstruction eigenvalues below this fraction of the total observed
@@ -74,22 +71,15 @@ class AnalysisOptions:
     max_iters: int = 80
     conv_tol: float = 1e-6
     seed: int = 0
-    q_min: int = 2
     q_max: int | None = None
     workers: int = 1
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        if self.q_min < 2:
-            raise ConfigError(f"q_min must be >= 2, got {self.q_min}")
-        if self.q_max is not None and self.q_max < self.q_min:
-            raise ConfigError(
-                f"q_max={self.q_max} must be >= q_min={self.q_min}"
-            )
         # Delegate range checks to the stage configs.
         VbpcaConfig(
-            n_components=2,
+            n_components=2 if self.q_max is None else self.q_max,
             max_iters=self.max_iters,
             conv_tol=self.conv_tol,
             seed=self.seed,
@@ -106,7 +96,6 @@ class AnalysisResult:
     n_rows: int
     n_cols: int
     n_components: int
-    scan_costs: tuple[tuple[int, float], ...]
     recon: Reconstruction
     spectrum: Spectrum
     test: SpectrumTestResult
@@ -130,34 +119,20 @@ def analyze_matrix(data: MaskedMatrix, options: AnalysisOptions) -> AnalysisResu
     if min(n, p) < 2:
         raise DataError(f"matrix shape {data.shape} too small to analyze")
     _check_centered(data)
-    q_max = options.q_max
-    if q_max is None:
-        # One dimension is reserved for the noise model, so the scan
-        # never proposes a component count equal to the smaller data
-        # dimension by default (an explicit q_max may still request it).
-        q_max = min(n - 1, p - 1, DEFAULT_SCAN_CAP)
-    if q_max > min(n, p):
-        raise ConfigError(f"q_max={q_max} exceeds min(n, p)={min(n, p)}")
     fit_config = VbpcaConfig(
-        n_components=options.q_min,
+        n_components=2,  # replaced by the count select_n_components decides
         max_iters=options.max_iters,
         conv_tol=options.conv_tol,
         seed=derive_seed(options.seed, _FIT_SEED_TAG),
     )
-    scan = select_n_components(
-        data,
-        fit_config,
-        q_min=options.q_min,
-        q_max=q_max,
-        workers=options.workers,
-    )
-    recon = reconstruct(scan.model)
+    model = select_n_components(data, fit_config, options.q_max)
+    recon = reconstruct(model)
     # Anchor the spectrum floor to the energy of the data so that a
     # reconstruction made of numerical residue (a fit that pruned every
     # component) produces an exactly zero spectrum.
     flat_data = data.values.ravel()
     energy_floor = _SPECTRUM_FLOOR_REL * float(np.dot(flat_data, flat_data))
-    spectrum = reconstruction_spectrum(recon.mean, scan.selected, energy_floor)
+    spectrum = reconstruction_spectrum(recon.mean, model.n_components, energy_floor)
     sig_config = SigTestConfig(
         n_null_samples=options.n_null_samples,
         alpha=options.alpha,
@@ -169,7 +144,7 @@ def analyze_matrix(data: MaskedMatrix, options: AnalysisOptions) -> AnalysisResu
     # grow, any component the fit keeps would look significant, even a
     # direction of pure noise.
     predictive = Reconstruction(
-        mean=recon.mean, var=recon.var + scan.model.noise_var
+        mean=recon.mean, var=recon.var + model.noise_var
     )
     posterior, null = sample_rank_null_spectra(
         predictive, spectrum, sig_config, options.workers, energy_floor
@@ -180,8 +155,7 @@ def analyze_matrix(data: MaskedMatrix, options: AnalysisOptions) -> AnalysisResu
     return AnalysisResult(
         n_rows=n,
         n_cols=p,
-        n_components=scan.selected,
-        scan_costs=scan.costs,
+        n_components=model.n_components,
         recon=recon,
         spectrum=spectrum,
         test=test,
@@ -261,9 +235,6 @@ def build_report(
             "seed": options.seed,
             "max_iters": options.max_iters,
         },
-        "component_scan": [
-            {"n_components": c, "cost": cost} for c, cost in result.scan_costs
-        ],
         "cumulative_variance": {
             "at_significant": float(cumulative[w - 1]) if w > 0 else 0.0,
             "after_next": float(cumulative[w]) if w < q else None,

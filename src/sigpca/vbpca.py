@@ -26,7 +26,6 @@ dense matrix products; that path is used automatically.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -51,14 +50,6 @@ _INIT_COV = 1e-2
 # directions survive long enough to be absorbed as spurious structure.
 _INIT_PRIOR_REL = 0.1
 
-# Sweeps during which the per-component prior variances stay at their
-# broad initial value.  Components grow toward the directions the data
-# supports before the evidence-maximisation race starts withdrawing
-# variance, which keeps engagement of genuine directions from depending
-# on the luck of the random start.  Early stopping is disabled until the
-# priors have been re-estimated at least once.
-_PRIOR_WARMUP_SWEEPS = 0
-
 # The re-estimated loading prior variances are floored at this fraction
 # of the data variance.  Pruned components then keep a small posterior
 # covariance instead of collapsing to zero, so the elementwise
@@ -80,17 +71,8 @@ _TINY = 1e-300
 # this is outside float range for the downstream quadratic forms anyway.
 _ABS_SCALE_FLOOR = 1e-30
 
-# Candidate counts whose scan cost lies within this relative tolerance
-# of the best cost are treated as tied.  The band separates two cost
-# scales.  Fits that differ only in iteration-path noise, or because one
-# of them absorbed a noise direction, differ by at most the largest
-# noise eigenvalue's share of the residual, about (sqrt(n)+sqrt(p))^2 /
-# (n p) and well under the band.  Fits that differ by a genuine
-# direction differ by that direction's share of the residual error,
-# which is many times the band.  Treating the first scale as a tie and
-# resolving it toward the largest count keeps the selection clear of
-# occasional noise captures at intermediate counts.
-_COST_TIE_REL = 6e-2
+# Default cap on the component count of an analysis's fit.
+DEFAULT_SCAN_CAP = 60
 
 
 @dataclass(frozen=True)
@@ -131,10 +113,10 @@ class VbpcaModel:
     and two traces recorded at initialisation and after each sweep.
 
     ``cost_trace`` is the squared error of the posterior-mean
-    reconstruction over observed entries.  It is what the component scan
-    compares, but it is not the objective the sweeps optimise: its final
-    value is at or below its initial one, yet on masked data it may rise
-    between sweeps.  ``free_energy_trace`` is that objective, the
+    reconstruction over observed entries.  Its relative change decides
+    when the sweeps stop, but it is not the objective they optimise: its
+    final value is at or below its initial one, yet on masked data it may
+    rise between sweeps.  ``free_energy_trace`` is that objective, the
     variational free energy (negative evidence lower bound): the expected
     negative log-likelihood of the observed entries plus the KL
     divergences of the factor, loading and bias posteriors from their
@@ -262,13 +244,11 @@ def fit(data: MaskedMatrix, config: VbpcaConfig) -> VbpcaModel:
 
 
 def _init_state(data: MaskedMatrix, q: int, seed: int):
-    """Random starting point, shared across component counts.
+    """Random starting point.
 
     The initial loading and factor columns are drawn at the maximum
-    admissible count and truncated to ``q``, so fits at different counts
-    start from a common prefix (common random numbers).  Scan costs that
-    get compared against each other then differ by what the extra columns
-    contribute, not by the luck of independent starts.
+    admissible count, min(n, p), and truncated to ``q``, so fits at
+    different counts with one seed start from a common prefix.
     """
     n, p = data.shape
     cap = min(n, p)
@@ -367,8 +347,7 @@ def _fit_complete(data: MaskedMatrix, config: VbpcaConfig) -> VbpcaModel:
         F = Yb @ A.T
         # prior variances by evidence maximisation, floored so pruned
         # components keep honest uncertainty
-        if it >= _PRIOR_WARMUP_SWEEPS:
-            va = np.maximum((A * A).mean(axis=0) + np.diag(Ca), uncertainty_floor)
+        va = np.maximum((A * A).mean(axis=0) + np.diag(Ca), uncertainty_floor)
         vm = max(float(np.dot(m, m)) / p + mvar, prior_floor)
         # noise variance from residual plus posterior second moments
         resid = Rm - F
@@ -386,9 +365,7 @@ def _fit_complete(data: MaskedMatrix, config: VbpcaConfig) -> VbpcaModel:
         )
         prev = trace[-1]
         trace.append(sse)
-        if it >= _PRIOR_WARMUP_SWEEPS and abs(prev - sse) <= config.conv_tol * max(
-            prev, _TINY
-        ):
+        if abs(prev - sse) <= config.conv_tol * max(prev, _TINY):
             break
 
     return VbpcaModel(
@@ -469,11 +446,10 @@ def _fit_masked(
         F = Yb @ A.T
         # prior variances, floored so pruned components keep honest
         # uncertainty
-        if it >= _PRIOR_WARMUP_SWEEPS:
-            va = np.maximum(
-                (A * A).mean(axis=0) + Ca.diagonal(axis1=1, axis2=2).mean(axis=0),
-                uncertainty_floor,
-            )
+        va = np.maximum(
+            (A * A).mean(axis=0) + Ca.diagonal(axis1=1, axis2=2).mean(axis=0),
+            uncertainty_floor,
+        )
         vm = max(float(np.dot(m, m)) / p + float(mvar.mean()), prior_floor)
         # noise variance
         sse = masked_sse(F, m)
@@ -489,9 +465,7 @@ def _fit_masked(
         )
         prev = trace[-1]
         trace.append(sse)
-        if it >= _PRIOR_WARMUP_SWEEPS and abs(prev - sse) <= config.conv_tol * max(
-            prev, _TINY
-        ):
+        if abs(prev - sse) <= config.conv_tol * max(prev, _TINY):
             break
 
     return VbpcaModel(
@@ -544,63 +518,19 @@ def reconstruct(model: VbpcaModel) -> Reconstruction:
     return Reconstruction(mean=_freeze(mean), var=_freeze(var))
 
 
-@dataclass(frozen=True)
-class RankScan:
-    """Outcome of scanning candidate component counts.
-
-    ``costs`` holds (count, squared reconstruction error over observed
-    entries) per candidate in ascending order; ``selected`` is the count
-    with the smallest error.  Candidates within a small relative
-    tolerance of the best cost count as tied, and ties resolve toward
-    the largest count: a self-pruning fit makes the cost curve flat past
-    the supported rank, and the deepest tied candidate gives the
-    downstream significance test the most reference directions.
-    ``model`` is the fit at the selected count.
-    """
-
-    selected: int
-    costs: tuple[tuple[int, float], ...]
-    model: VbpcaModel
-
-
 def select_n_components(
-    data: MaskedMatrix,
-    config: VbpcaConfig,
-    q_min: int = 2,
-    q_max: int | None = None,
-    workers: int = 1,
-) -> RankScan:
-    """Fit every candidate count in [q_min, q_max] and pick the count
-    whose posterior-mean reconstruction has the smallest squared error
-    over observed entries.
+    data: MaskedMatrix, config: VbpcaConfig, q_max: int | None = None
+) -> VbpcaModel:
+    """Fit the model at the largest component count and return the fit.
 
-    ``config.n_components`` is ignored; each candidate reuses the other
-    settings.  Results are independent of ``workers``.
+    No separate count selection is needed: the per-component prior
+    variances withdraw the components the data do not support, so a fit
+    at a larger count keeps the supported ones and prunes the rest.  The
+    count is ``q_max`` if given, else min(n - 1, p - 1, DEFAULT_SCAN_CAP):
+    one dimension is left to the noise model.  ``config.n_components``
+    is ignored; the other settings are used as given.
     """
     n, p = data.shape
-    cap = min(n, p)
     if q_max is None:
-        q_max = cap
-    if not 2 <= q_min <= q_max <= cap:
-        raise ConfigError(
-            f"scan range [{q_min}, {q_max}] invalid for min(n, p)={cap}"
-        )
-    candidates = list(range(q_min, q_max + 1))
-
-    def final_cost(count: int) -> float:
-        model = fit(data, replace(config, n_components=count))
-        return float(model.cost_trace[-1])
-
-    if workers <= 1:
-        costs = [final_cost(c) for c in candidates]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            costs = list(pool.map(final_cost, candidates))
-    cutoff = min(costs) * (1.0 + _COST_TIE_REL) + _TINY
-    best = max(c for c, cost in zip(candidates, costs) if cost <= cutoff)
-    model = fit(data, replace(config, n_components=best))
-    return RankScan(
-        selected=best,
-        costs=tuple(zip(candidates, (float(c) for c in costs))),
-        model=model,
-    )
+        q_max = min(n - 1, p - 1, DEFAULT_SCAN_CAP)
+    return fit(data, replace(config, n_components=q_max))

@@ -266,7 +266,7 @@ class TestExitCodes:
         data = synth_file(tmp_path, rows=12, cols=5, significant=2, seed=1)
         assert run_cli(["analyze", str(data), "--null-samples", "0"]) == 1
         assert run_cli(["analyze", str(data), "--alpha", "2.0"]) == 1
-        assert run_cli(["analyze", str(data), "--q-min", "1"]) == 1
+        assert run_cli(["analyze", str(data), "--q-max", "1"]) == 1
 
     def test_numerical_failure_exits_2_without_partial_report(self, tmp_path, monkeypatch):
         data = synth_file(tmp_path, rows=12, cols=5, significant=2, seed=1)

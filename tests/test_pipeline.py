@@ -43,7 +43,7 @@ class TestAnalysisOptions:
         assert options.n_null_samples == 2000
         assert options.max_iters == 80
         assert options.conv_tol == 1e-6
-        assert options.q_min == 2
+        assert options.q_max is None
 
     def test_validation_delegates_to_stage_configs(self):
         with pytest.raises(ConfigError):
@@ -54,6 +54,8 @@ class TestAnalysisOptions:
             AnalysisOptions(max_iters=0)
         with pytest.raises(ConfigError):
             AnalysisOptions(seed=-1)
+        with pytest.raises(ConfigError):
+            AnalysisOptions(q_max=1)
 
 
 class TestAnalyzeMatrix:
@@ -65,20 +67,18 @@ class TestAnalyzeMatrix:
     def test_result_fields_are_coherent(self, small_result):
         result, _ = small_result
         assert (result.n_rows, result.n_cols) == (40, 12)
-        assert 2 <= result.n_components <= 11
-        scanned = [q for q, _ in result.scan_costs]
-        assert scanned == list(range(2, 12))
-        assert result.n_components in scanned
+        assert result.n_components == 11
         assert result.spectrum.n_ranks == result.n_components
         assert result.test.n_significant <= result.n_components
         assert result.recon.mean.shape == (40, 12)
         assert result.total_variance > 0.0
 
-    def test_scan_range_override(self):
+    def test_q_max_override(self):
         data = generate(SyntheticSpec(n_rows=30, n_cols=10, n_significant=2, seed=12))
-        result = analyze_numeric(data, AnalysisOptions(q_min=3, q_max=5, **FAST))
-        assert [q for q, _ in result.scan_costs] == [3, 4, 5]
-        assert 3 <= result.n_components <= 5
+        result = analyze_numeric(data, AnalysisOptions(q_max=5, **FAST))
+        assert result.n_components == 5
+        with pytest.raises(ConfigError):
+            analyze_numeric(data, AnalysisOptions(q_max=11, **FAST))
 
     def test_wide_matrix_keeps_one_dimension_for_noise(self):
         data = generate(SyntheticSpec(n_rows=414, n_cols=9, n_significant=1, seed=13))
@@ -107,7 +107,7 @@ class TestReport:
         assert report["config"]["alpha"] == options.alpha
         assert report["config"]["n_null_samples"] == options.n_null_samples
         assert report["config"]["seed"] == options.seed
-        assert len(report["component_scan"]) == len(result.scan_costs)
+        assert "component_scan" not in report
         assert len(report["ranks"]) == result.n_components
 
     def test_rank_rows(self, small_result):

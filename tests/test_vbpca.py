@@ -1,4 +1,4 @@
-"""Model fitting, posterior reconstruction, and component-count selection."""
+"""Model fitting, posterior reconstruction, and the component count of an analysis."""
 
 import numpy as np
 import pytest
@@ -13,11 +13,13 @@ from helpers import (
     rank_k_matrix,
 )
 from sigpca import (
+    AnalysisOptions,
     ConfigError,
     DataError,
     MaskedMatrix,
     VbpcaConfig,
     VbpcaModel,
+    analyze_matrix,
     fit,
     reconstruct,
     select_n_components,
@@ -270,50 +272,55 @@ class TestReconstruct:
 
 
 class TestSelectNComponents:
-    def test_singleton_range_returns_that_count(self):
-        data = complete(center_cols(rank_k_matrix(20, 8, 3, seed=12)))
-        scan = select_n_components(data, VbpcaConfig(n_components=2), q_min=4, q_max=4)
-        assert scan.selected == 4
-        assert [c for c, _ in scan.costs] == [4]
+    def test_analysis_fits_once(self, monkeypatch):
+        counts = []
+
+        def counting_fit(data, config):
+            counts.append(config.n_components)
+            return fit(data, config)
+
+        monkeypatch.setattr(vbpca, "fit", counting_fit)
+        data = complete(center_cols(rank_k_matrix(30, 10, 2, seed=12)))
+        analyze_matrix(data, AnalysisOptions(n_null_samples=100, seed=1))
+        assert counts == [9]
+
+    def test_default_count_is_min_of_dimensions_less_one_and_60(self, monkeypatch):
+        counts = []
+        monkeypatch.setattr(vbpca, "fit", lambda data, config: counts.append(config.n_components))
+        cfg = VbpcaConfig(n_components=2)
+        for shape in [(20, 8), (8, 20), (70, 65), (3, 40)]:
+            select_n_components(MaskedMatrix.complete(np.zeros(shape)), cfg)
+        assert counts == [7, 7, 60, 2]
 
     def test_invalid_ranges_rejected(self):
         data = complete(center_cols(rank_k_matrix(10, 6, 2, seed=13)))
         cfg = VbpcaConfig(n_components=2)
-        with pytest.raises(ConfigError):
-            select_n_components(data, cfg, q_min=1, q_max=4)
-        with pytest.raises(ConfigError):
-            select_n_components(data, cfg, q_min=5, q_max=4)
-        with pytest.raises(ConfigError):
-            select_n_components(data, cfg, q_min=2, q_max=7)
+        for q_max in (0, 1, 7):
+            with pytest.raises(ConfigError):
+                select_n_components(data, cfg, q_max=q_max)
+        assert select_n_components(data, cfg, q_max=6).n_components == 6
+
+    def test_selected_model_matches_reported_count(self):
+        data = complete(center_cols(rank_k_matrix(20, 10, 2, seed=15)))
+        model = select_n_components(data, VbpcaConfig(n_components=2, seed=4), q_max=5)
+        assert model.n_components == 5
+        direct = fit_q(data, 5, seed=4)
+        assert np.array_equal(model.cost_trace, direct.cost_trace)
+        assert np.array_equal(model.loadings_mean, direct.loadings_mean)
 
     def test_noise_free_rank3_cost_table(self):
         data = complete(center_cols(rank_k_matrix(30, 12, 3, seed=14)))
-        scan = select_n_components(data, VbpcaConfig(n_components=2), q_min=2, q_max=6)
-        costs = dict(scan.costs)
+        costs = {q: float(fit_q(data, q).cost_trace[-1]) for q in range(2, 7)}
         flat = data.values.ravel()
         energy = float(np.dot(flat, flat))
         # Error drops sharply until the true rank is reached ...
         assert costs[2] > costs[3] + 1e-3 * energy
-        # ... and is flat (at numerical zero) beyond it.
+        # ... and is flat (at numerical zero) beyond it, so the fit at the
+        # largest count loses nothing against the fit at the true rank.
         for q in (4, 5, 6):
             assert abs(costs[q] - costs[3]) <= 1e-6 * energy
-        # All counts at the error floor tie; ties resolve to the deepest.
-        assert scan.selected == 6
-        assert scan.model.n_components == 6
-
-    def test_selected_model_matches_reported_count(self):
-        data = complete(center_cols(rank_k_matrix(20, 10, 2, seed=15)))
-        scan = select_n_components(data, VbpcaConfig(n_components=2), q_min=2, q_max=5)
-        assert scan.model.n_components == scan.selected
-        assert set(c for c, _ in scan.costs) == {2, 3, 4, 5}
-
-    def test_worker_count_does_not_change_outcome(self):
-        data = complete(center_cols(rank_k_matrix(18, 9, 2, seed=16)))
-        cfg = VbpcaConfig(n_components=2, seed=3)
-        serial = select_n_components(data, cfg, q_min=2, q_max=6, workers=1)
-        threaded = select_n_components(data, cfg, q_min=2, q_max=6, workers=3)
-        assert serial.selected == threaded.selected
-        assert serial.costs == threaded.costs
+        model = select_n_components(data, VbpcaConfig(n_components=2), q_max=6)
+        assert float(model.cost_trace[-1]) == costs[6]
 
     def test_full_depth_error_not_worse_than_shallower_fits(self):
         gen = np.random.default_rng(17)
@@ -321,8 +328,7 @@ class TestSelectNComponents:
             rank_k_matrix(20, 10, 3, seed=18) + 0.5 * gen.standard_normal((20, 10))
         )
         data = complete(noisy)
-        scan = select_n_components(data, VbpcaConfig(n_components=2), q_min=2, q_max=10)
-        costs = dict(scan.costs)
-        full = costs[10]
+        model = select_n_components(data, VbpcaConfig(n_components=2), q_max=10)
+        full = float(model.cost_trace[-1])
         for q in range(2, 10):
-            assert full <= costs[q] * 1.01 + 1e-12
+            assert full <= float(fit_q(data, q).cost_trace[-1]) * 1.01 + 1e-12
