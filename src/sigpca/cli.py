@@ -91,7 +91,11 @@ def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
         "do not support (default min(rows-1, cols-1, 60))",
     )
     parser.add_argument(
-        "--workers", type=int, default=1, help="parallel workers; never affects results"
+        "--workers",
+        type=int,
+        default=1,
+        help="validate: processes that share the grid's datasets; analyze: no "
+        "effect (accepted for existing scripts); never affects results",
     )
 
 
@@ -181,7 +185,6 @@ def cmd_validate(args) -> int:
         replicates=args.replicates,
         base_seed=args.base_seed,
         options=options,
-        workers=args.workers,
     )
     summary = summarize_validation(runs)
     _emit(validation_summary_to_csv(summary), args.out)

@@ -107,27 +107,32 @@ def frobenius_sq_masked(a: MaskedMatrix, b) -> float:
 
 
 def sym_eigvals(s) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, descending.
+    """Eigenvalues of a symmetric matrix, or of each matrix in a stack
+    of shape ``(..., m, m)``, descending along the last axis.
 
+    Each matrix's symmetry is checked against its own scale.
     Rounding noise in positive semi-definite inputs is cleaned up: any
-    eigenvalue in ``[-1e-9 * norm, 0)`` is clamped to exactly 0.  Genuinely
-    negative eigenvalues of indefinite inputs are returned unchanged.
+    eigenvalue in ``[-1e-9 * norm, 0)``, with ``norm`` the largest
+    eigenvalue magnitude of the same matrix, is clamped to exactly 0.
+    Genuinely negative eigenvalues of indefinite inputs are returned
+    unchanged.  A stack gives the same values as one call per matrix.
     """
-    s = _as_matrix(s, "matrix")
-    n, m = s.shape
-    if n != m:
+    s = np.asarray(s, dtype=np.float64)
+    if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
         raise ShapeError(f"matrix must be square, got shape {s.shape}")
     if not np.isfinite(s).all():
         raise NumericalError("matrix contains non-finite entries")
-    scale = float(np.max(np.abs(s))) if n else 0.0
-    if n and float(np.max(np.abs(s - s.T))) > _SYM_RTOL * max(scale, 1e-300):
+    matrix_axes = (-2, -1)
+    scale = np.max(np.abs(s), axis=matrix_axes, initial=0.0)
+    asym = np.max(np.abs(s - np.swapaxes(s, -1, -2)), axis=matrix_axes, initial=0.0)
+    if np.any(asym > _SYM_RTOL * np.maximum(scale, 1e-300)):
         raise ShapeError("matrix is not symmetric within tolerance")
     try:
         vals = np.linalg.eigvalsh(s)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue iteration failed to converge: {exc}") from exc
-    vals = vals[::-1].copy()
-    norm = float(np.max(np.abs(vals))) if n else 0.0
+    vals = vals[..., ::-1].copy()
+    norm = np.max(np.abs(vals), axis=-1, keepdims=True, initial=0.0)
     clamp = -_EIG_CLAMP_RTOL * norm
     vals[(vals >= clamp) & (vals < 0.0)] = 0.0
     return vals

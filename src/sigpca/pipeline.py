@@ -7,8 +7,12 @@ elementwise posterior predictive (reconstruction variance plus noise
 variance) together with per-rank nulls that lack the tested component,
 and counts significant ranks.  All randomness derives from one master
 seed; fitting and null sampling receive disjoint child seeds, and each
-unit of parallel work owns a fixed stream, so results are identical for
-any worker count.
+null draw owns a fixed stream.  An analysis runs on the calling thread;
+numpy's BLAS may start threads of its own, and its thread setting can
+change the last bits of the results.  ``run_validation`` spreads the
+datasets of a grid over ``AnalysisOptions.workers`` processes; each
+run's seeds derive only from its spec, so results are identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -64,7 +68,9 @@ RANK_TABLE_COLUMNS = (
 
 @dataclass(frozen=True)
 class AnalysisOptions:
-    """Settings of one full analysis; ``seed`` is the master seed."""
+    """Settings of one full analysis; ``seed`` is the master seed.
+    ``workers`` is the number of processes ``run_validation`` uses; a
+    single analysis ignores it."""
 
     alpha: float = 0.05
     n_null_samples: int = 2000
@@ -147,7 +153,7 @@ def analyze_matrix(data: MaskedMatrix, options: AnalysisOptions) -> AnalysisResu
         mean=recon.mean, var=recon.var + model.noise_var
     )
     posterior, null = sample_rank_null_spectra(
-        predictive, spectrum, sig_config, options.workers, energy_floor
+        predictive, spectrum, sig_config, energy_floor
     )
     test = count_significant(spectrum, null, sig_config, posterior)
     flat = recon.mean.ravel()
@@ -288,25 +294,22 @@ def run_validation(
     replicates: int,
     base_seed: int,
     options: AnalysisOptions,
-    workers: int = 1,
 ) -> list[ValidationRun]:
     """Analyze every dataset of a scenario grid.
 
-    ``workers`` parallelises across datasets (process-based); each run's
-    seeds derive only from its spec, so results are identical for any
-    worker count.  Worker processes run their internal stages serially.
+    ``options.workers`` processes share the datasets; each run's seeds
+    derive only from its spec, so results are identical for any worker
+    count.
     """
     specs = scenario_grid(scenario, base_seed=base_seed, replicates=replicates)
     payloads = []
     for spec in specs:
-        run_options = replace(
-            options, seed=derive_seed(spec.seed, _RUN_SEED_TAG), workers=1
-        )
+        run_options = replace(options, seed=derive_seed(spec.seed, _RUN_SEED_TAG))
         payloads.append({"spec": spec.to_dict(), "options": asdict(run_options)})
-    if workers <= 1:
+    if options.workers <= 1:
         outcomes = [_run_one_validation(p) for p in payloads]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=options.workers) as pool:
             outcomes = list(pool.map(_run_one_validation, payloads, chunksize=4))
     runs = []
     for idx, (spec, outcome) in enumerate(zip(specs, outcomes)):

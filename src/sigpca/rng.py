@@ -4,8 +4,9 @@ Every stochastic routine in the package draws from an :class:`RngStream`,
 which names a generator by a ``(seed, stream)`` pair of 64-bit integers.
 The same pair always yields the same sequence, on every platform, and
 distinct stream ids give statistically independent sequences.  Work that
-is split across workers assigns one stream per unit of work, so results
-never depend on scheduling or worker count.
+is split into units (null draws, validation datasets) assigns one stream
+per unit, so results never depend on the order the units run in or on
+the number of processes that share them.
 """
 
 from __future__ import annotations

@@ -9,9 +9,11 @@ variance, or (as analyses do) that plus the noise variance, which makes
 each draw a replicate data matrix from the posterior predictive.  The
 null for rank r adds the same perturbations to the reconstruction mean
 with its components at ranks r and beyond removed, so each draw shows
-what rank r would look like without its component.  Ranks are tested
-sequentially with a Holm-Bonferroni step-down correction sized to the
-full spectrum.
+what rank r would look like without its component.  Draws run one after
+another on the calling thread, each from its own random stream, and the
+Gram matrices of one draw share a single stacked eigensolve.  Ranks are
+tested sequentially with a Holm-Bonferroni step-down correction sized to
+the full spectrum.
 
 Against unpaired null spectra the raw value at a rank is an exceedance
 p-value.  In the paired mode it is a posterior predictive probability,
@@ -23,7 +25,6 @@ familywise error guarantee.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,15 +42,6 @@ _QUANTILES = (5.0, 50.0, 95.0)
 # tail of the spectrum is normalised.
 _RANK_TOL_REL = 1e-9
 
-# Default absolute eigenvalue floor.  Spectrum functions also accept an
-# explicit ``energy_floor``; analyses anchor it to the total energy of
-# the data matrix so that a reconstruction consisting entirely of
-# numerical residue (all its eigenvalues are a vanishing fraction of the
-# data energy) yields an exactly zero spectrum instead of a spectrum of
-# noise ratios.  A floor relative to the leading eigenvalue cannot make
-# that call, because it only sees the reconstruction itself.
-_DEFAULT_ENERGY_FLOOR = 0.0
-
 
 def normalized_eigenvalues(eigenvalues) -> np.ndarray:
     """Tail-normalised spectrum.
@@ -62,12 +54,17 @@ def normalized_eigenvalues(eigenvalues) -> np.ndarray:
     lam = np.asarray(eigenvalues, dtype=np.float64)
     if lam.ndim != 1 or lam.size < 1:
         raise ShapeError("eigenvalues must be a nonempty 1-D array")
-    q = lam.size
-    # tail[i] = lam[i] + ... + lam[q-2]; the top eigenvalue is excluded
-    # from no tail, the last eigenvalue from every tail.
-    tail = np.zeros(q)
+    return _normalize_rows(lam)
+
+
+def _normalize_rows(lam: np.ndarray) -> np.ndarray:
+    """``normalized_eigenvalues`` of each spectrum along the last axis."""
+    q = lam.shape[-1]
+    # tail[..., i] = lam[..., i] + ... + lam[..., q-2]; the top eigenvalue
+    # is excluded from no tail, the last eigenvalue from every tail.
+    tail = np.zeros(lam.shape)
     if q > 1:
-        tail[:-1] = np.cumsum(lam[-2::-1])[::-1]
+        tail[..., :-1] = np.cumsum(lam[..., -2::-1], axis=-1)[..., ::-1]
     numer = (q - 1 - np.arange(q)) * lam
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.where(tail > 0.0, numer / tail, 0.0)
@@ -104,31 +101,39 @@ class Spectrum:
         return self.eigenvalues.size
 
 
-def _top_eigenvalues(
-    x: np.ndarray, q: int, energy_floor: float = _DEFAULT_ENERGY_FLOOR
-) -> np.ndarray:
-    """Top q eigenvalues of x x' via the smaller-sided Gram matrix,
-    with the numerical-rank cutoff and the absolute floor applied."""
+def _gram(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Smaller-sided Gram matrix of x, exactly symmetric."""
     n, p = x.shape
     g = x @ x.T if n <= p else x.T @ x
-    g = 0.5 * (g + g.T)
-    lam = sym_eigvals(g)[:q]
-    if lam[0] <= 0.0:
-        return np.zeros_like(lam)
-    cutoff = max(energy_floor, lam[0] * _RANK_TOL_REL)
+    return np.multiply(0.5, g + g.T, out=out)
+
+
+def _rank_cutoff(lam: np.ndarray, energy_floor: float) -> np.ndarray:
+    """Zero the eigenvalues of each descending spectrum along the last
+    axis that lie at or below the absolute floor or the numerical-rank
+    cutoff relative to the spectrum's leading value; a spectrum with no
+    positive value becomes all zeros."""
+    cutoff = np.maximum(energy_floor, lam[..., :1] * _RANK_TOL_REL)
     return np.where(lam > cutoff, lam, 0.0)
 
 
-def reconstruction_spectrum(
-    x_mean, q: int, energy_floor: float = _DEFAULT_ENERGY_FLOOR
-) -> Spectrum:
+def _top_eigenvalues(x: np.ndarray, q: int, energy_floor: float = 0.0) -> np.ndarray:
+    """Top q eigenvalues of x x' via the smaller-sided Gram matrix,
+    with the numerical-rank cutoff and the absolute floor applied."""
+    return _rank_cutoff(sym_eigvals(_gram(x))[:q], energy_floor)
+
+
+def reconstruction_spectrum(x_mean, q: int, energy_floor: float = 0.0) -> Spectrum:
     """Spectrum of the reconstruction mean truncated to the top q ranks.
 
     Eigenvalues at or below ``energy_floor`` are reported as exact
-    zeros.  Pass a floor anchored to the energy of the underlying data
-    matrix to keep directions indistinguishable from numerical residue
-    out of the spectrum; the default applies only the relative
-    rank cutoff.
+    zeros.  Analyses anchor the floor to the total energy of the data
+    matrix, so that a reconstruction consisting entirely of numerical
+    residue (all its eigenvalues a vanishing fraction of the data
+    energy) yields an exactly zero spectrum instead of a spectrum of
+    noise ratios; a floor relative to the leading eigenvalue cannot
+    make that call, because it only sees the reconstruction itself.
+    The default applies only the relative rank cutoff.
     """
     x = np.asarray(x_mean, dtype=np.float64)
     if x.ndim != 2:
@@ -192,13 +197,17 @@ def _sample_spectra(
     recon: Reconstruction,
     q: int,
     config: SigTestConfig,
-    workers: int,
     energy_floor: float,
     n_removed: int,
 ) -> tuple[NullSpectra, NullSpectra]:
     """Posterior spectra and, for the ranks r < ``n_removed``, the spectra
     of the same draws around the best rank-r approximation of the mean
-    (see ``sample_rank_null_spectra``)."""
+    (see ``sample_rank_null_spectra``).
+
+    Draws run one after another on the calling thread.  Each draw forms
+    the Gram matrices of all its perturbed bases in one reused stack and
+    takes their eigenvalues in one ``sym_eigvals`` call.
+    """
     mean = recon.mean
     if mean.ndim != 2:
         raise ShapeError("reconstruction mean must be 2-D")
@@ -209,34 +218,33 @@ def _sample_spectra(
     if energy_floor < 0.0 or not np.isfinite(energy_floor):
         raise ConfigError(f"energy_floor must be finite and >= 0, got {energy_floor}")
     std = np.sqrt(recon.var)
-    truncations = []
+    bases = [mean]
     if n_removed > 0:
         u, s, vt = np.linalg.svd(mean, full_matrices=False)
-        truncations = [(u[:, :r] * s[:r]) @ vt[:r] for r in range(n_removed)]
+        bases += [(u[:, :r] * s[:r]) @ vt[:r] for r in range(n_removed)]
     n_samples = config.n_null_samples
     eigenvalues = np.empty((n_samples, q))
     normalized = np.empty((n_samples, q))
     null_eigenvalues = np.empty((n_samples, q))
     null_normalized = np.empty((n_samples, q))
-
-    def run(k: int) -> None:
-        gen = RngStream(config.seed, k).generator()
-        noise = std * gen.standard_normal(mean.shape)
-        lam = _top_eigenvalues(mean + noise, q, energy_floor)
-        eigenvalues[k] = null_eigenvalues[k] = lam
-        normalized[k] = null_normalized[k] = normalized_eigenvalues(lam)
-        for r, base in enumerate(truncations):
-            lam = _top_eigenvalues(base + noise, q, energy_floor)
-            null_eigenvalues[k, r] = lam[r]
-            null_normalized[k, r] = normalized_eigenvalues(lam)[r]
-
-    if workers <= 1:
-        for k in range(n_samples):
-            run(k)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for _ in pool.map(run, range(n_samples)):
-                pass
+    noise = np.empty(mean.shape)
+    perturbed = np.empty(mean.shape)
+    side = min(mean.shape)
+    grams = np.empty((len(bases), side, side))
+    # Row 1 + r of a draw's spectra belongs to the null of rank r.
+    removed = np.arange(n_removed)
+    for k in range(n_samples):
+        RngStream(config.seed, k).generator().standard_normal(out=noise)
+        noise *= std
+        for base, gram in zip(bases, grams):
+            np.add(base, noise, out=perturbed)
+            _gram(perturbed, out=gram)
+        lam = _rank_cutoff(sym_eigvals(grams)[:, :q], energy_floor)
+        norm = _normalize_rows(lam)
+        eigenvalues[k] = null_eigenvalues[k] = lam[0]
+        normalized[k] = null_normalized[k] = norm[0]
+        null_eigenvalues[k, :n_removed] = lam[1 + removed, removed]
+        null_normalized[k, :n_removed] = norm[1 + removed, removed]
     for arr in (eigenvalues, normalized, null_eigenvalues, null_normalized):
         arr.flags.writeable = False
     return (
@@ -249,33 +257,31 @@ def sample_null_spectra(
     recon: Reconstruction,
     q: int,
     config: SigTestConfig,
-    workers: int = 1,
-    energy_floor: float = _DEFAULT_ENERGY_FLOOR,
+    energy_floor: float = 0.0,
 ) -> NullSpectra:
     """Draw spectra from the elementwise posterior.
 
     Sample k perturbs every entry of the reconstruction mean with an
     independent normal draw scaled by the posterior standard deviation at
-    that entry, using the dedicated stream (seed, k).  Results are
-    assembled in sample order, so worker count never affects them.
-    ``energy_floor`` must match the floor used for the observed
-    spectrum; with an identically zero posterior variance every sampled
-    spectrum then equals the observed one exactly.
+    that entry, using the dedicated stream (seed, k), so a run with more
+    samples extends a run with fewer.  ``energy_floor`` must match the
+    floor used for the observed spectrum; with an identically zero
+    posterior variance every sampled spectrum then equals the observed
+    one exactly.
     """
-    return _sample_spectra(recon, q, config, workers, energy_floor, 0)[0]
+    return _sample_spectra(recon, q, config, energy_floor, 0)[0]
 
 
 def sample_rank_null_spectra(
     recon: Reconstruction,
     spectrum: Spectrum,
     config: SigTestConfig,
-    workers: int = 1,
-    energy_floor: float = _DEFAULT_ENERGY_FLOOR,
+    energy_floor: float = 0.0,
 ) -> tuple[NullSpectra, NullSpectra]:
     """Posterior spectra paired draw by draw with per-rank null spectra.
 
     The first result equals ``sample_null_spectra(recon,
-    spectrum.n_ranks, config, workers, energy_floor)``.  In the second,
+    spectrum.n_ranks, config, energy_floor)``.  In the second,
     column r (0-based) of row k holds rank r of the spectrum of the same
     perturbation k added to the best rank-r approximation of the
     reconstruction mean instead of the mean itself: the draw that would
@@ -287,9 +293,7 @@ def sample_rank_null_spectra(
     data and not only against the uncertainty of the reconstruction.
     """
     n_components = int(np.count_nonzero(spectrum.eigenvalues))
-    return _sample_spectra(
-        recon, spectrum.n_ranks, config, workers, energy_floor, n_components
-    )
+    return _sample_spectra(recon, spectrum.n_ranks, config, energy_floor, n_components)
 
 
 def holm_bonferroni(raw_p, m: int) -> np.ndarray:

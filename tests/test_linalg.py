@@ -149,3 +149,51 @@ class TestSymEigvals:
         s = np.array([[np.nan, 0.0], [0.0, 1.0]])
         with pytest.raises((NumericalError, ShapeError, ValueError)):
             sym_eigvals(s)
+
+    @staticmethod
+    def gram_stack(seed, count=5, m=6):
+        gen = np.random.default_rng(seed)
+        stack = np.empty((count, m, m))
+        for i in range(count):
+            x = gen.standard_normal((m, m + 3)) * 10.0 ** int(gen.integers(-3, 4))
+            stack[i] = x @ x.T
+        return stack
+
+    def test_stack_gives_the_same_bits_as_one_call_per_matrix(self):
+        stack = self.gram_stack(7)
+        vals = sym_eigvals(stack)
+        assert vals.shape == (5, 6)
+        for i in range(5):
+            assert np.array_equal(vals[i], sym_eigvals(stack[i]))
+        nested = sym_eigvals(stack[:4].reshape(2, 2, 6, 6))
+        assert np.array_equal(nested.reshape(4, 6), vals[:4])
+
+    def test_stack_with_one_asymmetric_matrix_rejected(self):
+        stack = self.gram_stack(8)
+        stack[3, 0, 1] += 1e-3 * np.max(np.abs(stack[3]))
+        with pytest.raises(ShapeError):
+            sym_eigvals(stack)
+
+    def test_stack_with_one_non_finite_matrix_raises_numerical_error(self):
+        stack = self.gram_stack(9)
+        stack[2, 4, 4] = np.inf
+        with pytest.raises(NumericalError):
+            sym_eigvals(stack)
+
+    def test_clamp_uses_each_matrix_own_norm(self):
+        # Rank-1 Gram matrices at scales 1e6 and 1e-6, and an indefinite
+        # matrix at scale 1e-6.  Each matrix's tiny negative rounding is
+        # clamped against its own largest eigenvalue; a clamp sized to the
+        # stack's largest (1.4e7) would also wipe out the genuine -1e-6.
+        v = np.array([[1.0, 2.0, 3.0]])
+        base = v.T @ v
+        indefinite = np.diag([2e-6, -1e-6, 1e-7])
+        stack = np.stack([1e6 * base, 1e-6 * base, indefinite])
+        vals = sym_eigvals(stack)
+        for i in range(3):
+            assert np.array_equal(vals[i], sym_eigvals(stack[i]))
+        assert vals[0, 0] == pytest.approx(14e6, rel=1e-12)
+        assert vals[1, 0] == pytest.approx(14e-6, rel=1e-12)
+        assert np.all(vals[:2] >= 0.0)
+        # A negative eigenvalue of half the matrix's own norm survives.
+        assert np.array_equal(vals[2], [2e-6, 1e-7, -1e-6])

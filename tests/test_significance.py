@@ -30,6 +30,8 @@ from sigpca import (
     sample_null_spectra,
     sample_rank_null_spectra,
 )
+from sigpca.rng import RngStream
+from sigpca.significance import _top_eigenvalues
 
 descending_spectra = st.lists(
     st.floats(0.0, 1e6), min_size=1, max_size=12
@@ -159,16 +161,6 @@ class TestSampleNullSpectra:
             assert np.array_equal(null.eigenvalues[row], observed.eigenvalues)
             assert np.array_equal(null.normalized[row], observed.normalized)
 
-    def test_deterministic_and_worker_independent(self):
-        recon = self.make_recon()
-        cfg = SigTestConfig(n_null_samples=120, seed=5)
-        serial = sample_null_spectra(recon, q=4, config=cfg, workers=1)
-        threaded = sample_null_spectra(recon, q=4, config=cfg, workers=3)
-        repeat = sample_null_spectra(recon, q=4, config=cfg, workers=1)
-        assert np.array_equal(serial.eigenvalues, threaded.eigenvalues)
-        assert np.array_equal(serial.normalized, threaded.normalized)
-        assert np.array_equal(serial.eigenvalues, repeat.eigenvalues)
-
     def test_each_sample_owns_a_stream_so_prefixes_agree(self):
         recon = self.make_recon()
         small = sample_null_spectra(recon, q=4, config=SigTestConfig(n_null_samples=100, seed=5))
@@ -244,15 +236,35 @@ class TestSampleRankNullSpectra:
         assert result.n_significant == 2
         assert np.array_equal(result.raw_p, [0.0, 0.0, 1.0])
 
-    def test_worker_independent(self):
-        recon = self.make_recon()
-        spectrum = reconstruction_spectrum(recon.mean, q=5)
-        cfg = SigTestConfig(n_null_samples=120, seed=6)
-        serial = sample_rank_null_spectra(recon, spectrum, cfg, workers=1)
-        threaded = sample_rank_null_spectra(recon, spectrum, cfg, workers=3)
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a.eigenvalues, b.eigenvalues)
-            assert np.array_equal(a.normalized, b.normalized)
+    @pytest.mark.parametrize(
+        "n, p, k, energy_floor",
+        [(12, 7, 2, 0.0), (12, 7, 0, 0.0), (6, 11, 3, 1e-3)],
+        ids=["kept-ranks", "zero-ranks", "wide"],
+    )
+    def test_rows_equal_the_one_matrix_computation(self, n, p, k, energy_floor):
+        gen = np.random.default_rng(34)
+        mean = rank_k_matrix(n, p, k, seed=34) if k else np.zeros((n, p))
+        recon = Reconstruction(mean=mean, var=gen.uniform(0.005, 0.3, size=(n, p)))
+        q = min(n, p) - 1
+        spectrum = reconstruction_spectrum(mean, q=q, energy_floor=energy_floor)
+        assert np.count_nonzero(spectrum.eigenvalues) == k
+        cfg = SigTestConfig(n_null_samples=100, seed=6)
+        posterior, null = sample_rank_null_spectra(recon, spectrum, cfg, energy_floor)
+        u, s, vt = np.linalg.svd(mean, full_matrices=False)
+        for row in range(cfg.n_null_samples):
+            gen_k = RngStream(cfg.seed, row).generator()
+            noise = np.sqrt(recon.var) * gen_k.standard_normal((n, p))
+            lam = _top_eigenvalues(mean + noise, q, energy_floor)
+            assert np.array_equal(posterior.eigenvalues[row], lam)
+            assert np.array_equal(posterior.normalized[row], normalized_eigenvalues(lam))
+            expected_lam, expected_norm = lam.copy(), normalized_eigenvalues(lam)
+            for r in range(k):
+                base = (u[:, :r] * s[:r]) @ vt[:r]
+                lam_r = _top_eigenvalues(base + noise, q, energy_floor)
+                expected_lam[r] = lam_r[r]
+                expected_norm[r] = normalized_eigenvalues(lam_r)[r]
+            assert np.array_equal(null.eigenvalues[row], expected_lam)
+            assert np.array_equal(null.normalized[row], expected_norm)
 
 
 class TestHolmBonferroni:
