@@ -18,10 +18,15 @@ small fraction of the data variance, so pruned components retain honest
 posterior uncertainty instead of collapsing to numerical zero; that
 residual uncertainty is what the downstream null resampling relies on.
 
-Missing entries are simply excluded from every sufficient statistic.
-When the data are fully observed all rows share one posterior covariance
-and all columns share another, and the sweep reduces to a handful of
-dense matrix products; that path is used automatically.
+Missing entries are excluded from every sufficient statistic.  A row's
+factor posterior covariance then depends only on which of its entries
+are observed, so the masked sweep computes one per distinct row mask
+(typed tables repeat masks: a missing categorical cell hides its whole
+one-hot block) and writes every sum over observed entries as a matmul
+over flattened q-by-q blocks (Ilin & Raiko 2010, JMLR 11).  When the
+data are fully observed all rows share one posterior covariance and all
+columns share another, and the sweep reduces to a handful of dense
+matrix products; that path is used automatically.
 """
 
 from __future__ import annotations
@@ -124,6 +129,10 @@ class VbpcaModel:
     increase from one entry to the next (up to rounding).  The two traces
     have the same length; models built by hand may leave the free-energy
     trace empty.
+
+    ``converged`` is True when the ``conv_tol`` test stopped the sweeps and
+    False when they ran to the ``max_iters`` cap (and for models built by
+    hand, which had no sweeps).
     """
 
     loadings_mean: np.ndarray
@@ -135,6 +144,7 @@ class VbpcaModel:
     noise_var: float
     cost_trace: np.ndarray
     free_energy_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
+    converged: bool = False
 
     @property
     def n_components(self) -> int:
@@ -323,6 +333,7 @@ def _fit_complete(data: MaskedMatrix, config: VbpcaConfig) -> VbpcaModel:
     trace = [float(np.dot(flat, flat))]
     ld_init = q * np.log(_INIT_COV)
     energy = [free_energy(trace[0], second_moments(), n * ld_init, p * ld_init)]
+    converged = False
 
     for it in range(config.max_iters):
         # factor posteriors (unit prior)
@@ -366,6 +377,7 @@ def _fit_complete(data: MaskedMatrix, config: VbpcaConfig) -> VbpcaModel:
         prev = trace[-1]
         trace.append(sse)
         if abs(prev - sse) <= config.conv_tol * max(prev, _TINY):
+            converged = True
             break
 
     return VbpcaModel(
@@ -378,6 +390,7 @@ def _fit_complete(data: MaskedMatrix, config: VbpcaConfig) -> VbpcaModel:
         noise_var=float(v),
         cost_trace=_freeze(np.asarray(trace)),
         free_energy_trace=_freeze(np.asarray(energy)),
+        converged=converged,
     )
 
 
@@ -388,12 +401,23 @@ def _fit_masked(
     W = data.mask.astype(np.float64)
     n, p = V.shape
     q = config.n_components
+    qq = q * q
     n_obs = int(col_counts.sum())
+    # A row's factor posterior depends on the data only through which of
+    # its entries are observed, so rows sharing a mask share one factor
+    # precision and covariance: one block per distinct mask (pattern).
+    patterns, row_pattern, pattern_rows = np.unique(
+        data.mask, axis=0, return_inverse=True, return_counts=True
+    )
+    row_pattern = row_pattern.ravel()
+    Wu = patterns.astype(np.float64)
+    weights = pattern_rows.astype(np.float64)
+    u = len(patterns)
     A, Yb, m, scale = _init_state(data, q, config.seed)
     anchor = max(scale, _ABS_SCALE_FLOOR)
     eye = np.eye(q)
     Ca = np.broadcast_to(eye * _INIT_COV, (p, q, q)).copy()
-    Cy = np.broadcast_to(eye * _INIT_COV, (n, q, q)).copy()
+    Cy = np.broadcast_to(eye * _INIT_COV, (u, q, q)).copy()  # one block per pattern
     mvar = np.full(p, _INIT_COV)
     va = np.full(q, anchor * _INIT_PRIOR_REL)
     vm = 1.0
@@ -407,38 +431,48 @@ def _fit_masked(
         flat = r.ravel()
         return float(np.dot(flat, flat))
 
-    def second_moments() -> float:
-        terms = _second_moment_terms(A, Ca, Yb, Cy) + mvar[None, :]
-        return float((terms * W).sum())
-
     def free_energy(sse: float, second: float, ld_cy: float, ld_ca: float) -> float:
         return _free_energy(
-            sse + second, n_obs, v, Yb, float(np.trace(Cy, axis1=1, axis2=2).sum()),
+            sse + second, n_obs, v, Yb, float(weights @ np.trace(Cy, axis1=1, axis2=2)),
             ld_cy, A, Ca.diagonal(axis1=1, axis2=2).sum(axis=0), ld_ca, va, m, mvar, vm,
         )
 
     trace = [masked_sse(Yb @ A.T, m)]
     ld_init = q * np.log(_INIT_COV)
-    energy = [free_energy(trace[0], second_moments(), n * ld_init, p * ld_init)]
+    second = float(((_second_moment_terms(A, Ca, Yb, Cy[row_pattern]) + mvar) * W).sum())
+    energy = [free_energy(trace[0], second, n * ld_init, p * ld_init)]
+    converged = False
 
     for it in range(config.max_iters):
         Rm = (V - m) * W
-        # factor posteriors; each row sums statistics over its observed columns
-        TA = A[:, :, None] * A[:, None, :] + Ca
-        Py = eye + np.einsum("ij,jkl->ikl", W, TA, optimize=True) / v
+        # factor posteriors; each pattern sums a_j a_j' + Ca_j over its
+        # observed columns j
+        TA = (A[:, :, None] * A[:, None, :] + Ca).reshape(p, qq)
+        Py = eye + (Wu @ TA).reshape(u, q, q) / v
         Cy = _inv_sym(Py)
-        Yb = np.einsum("ikl,il->ik", Cy, Rm @ A, optimize=True) / v
-        # loading posteriors
-        TY = Yb[:, :, None] * Yb[:, None, :] + Cy
-        Pa = np.diag(1.0 / va) + np.einsum("ij,ikl->jkl", W, TY, optimize=True) / v
+        Yb = _matvec(Cy[row_pattern], Rm @ A) / v
+        # loading posteriors; column j sums y_i y_i' + Cy_i over its
+        # observed rows i, the covariances once per pattern
+        YY = (Yb[:, :, None] * Yb[:, None, :]).reshape(n, qq)
+        Scy = Wu.T @ (weights[:, None] * Cy.reshape(u, qq))
+        Sy = W.T @ YY + Scy
+        Pa = np.diag(1.0 / va) + Sy.reshape(p, q, q) / v
         Ca = _inv_sym(Pa)
-        A = np.einsum("jkl,jl->jk", Ca, Rm.T @ Yb, optimize=True) / v
+        A = _matvec(Ca, Rm.T @ Yb) / v
         # bias
         F = Yb @ A.T
         mvar = 1.0 / (col_counts / v + 1.0 / vm)
         m = (mvar / v) * (((V - F) * W).sum(axis=0))
+        # posterior second moments over observed entries, summed per column
+        # from the statistics above: y'Ca y + tr(Cy Ca) from Sy, a'Cy a
+        # from Scy.  The normal form below leaves them unchanged.
+        AA = (A[:, :, None] * A[:, None, :]).reshape(p, qq)
+        second = float(
+            np.sum(Sy * Ca.reshape(p, qq)) + np.sum(Scy * AA) + np.dot(col_counts, mvar)
+        )
         # normal form via the average posterior covariances
-        M, N = _gauge_maps(A, Ca.mean(axis=0), Yb, Cy.mean(axis=0), n, p)
+        Cy_mean = (weights @ Cy.reshape(u, qq)).reshape(q, q) / n
+        M, N = _gauge_maps(A, Ca.mean(axis=0), Yb, Cy_mean, n, p)
         A = A @ M
         Ca = M.T @ Ca @ M
         Yb = Yb @ N
@@ -455,40 +489,51 @@ def _fit_masked(
         sse = masked_sse(F, m)
         if not np.isfinite(sse):
             raise NumericalError(f"cost became non-finite at iteration {it + 1}")
-        second = second_moments()
         v = max((sse + second) / n_obs, noise_floor)
         # the gauge maps scale the covariance determinants by det(M)^2
         # (loadings) and det(N)^2 = det(M)^-2 (factors)
         ld_m = 2.0 * float(np.linalg.slogdet(M)[1])
-        energy.append(
-            free_energy(sse, second, -_logdet(Py) - n * ld_m, -_logdet(Pa) + p * ld_m)
-        )
+        ld_py = float(weights @ np.linalg.slogdet(Py)[1])
+        energy.append(free_energy(sse, second, -ld_py - n * ld_m, -_logdet(Pa) + p * ld_m))
         prev = trace[-1]
         trace.append(sse)
         if abs(prev - sse) <= config.conv_tol * max(prev, _TINY):
+            converged = True
             break
 
     return VbpcaModel(
         loadings_mean=_freeze(A),
         loadings_cov=_freeze(Ca),
         factors_mean=_freeze(Yb.T.copy()),
-        factors_cov=_freeze(Cy),
+        factors_cov=_freeze(Cy[row_pattern]),
         bias_mean=_freeze(m),
         bias_var=_freeze(mvar),
         noise_var=float(v),
         cost_trace=_freeze(np.asarray(trace)),
         free_energy_trace=_freeze(np.asarray(energy)),
+        converged=converged,
     )
+
+
+def _matvec(blocks: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Row k of the result is blocks[k] @ vecs[k]."""
+    return np.matmul(blocks, vecs[:, :, None])[:, :, 0]
 
 
 def _second_moment_terms(
     A: np.ndarray, Acov: np.ndarray, Yb: np.ndarray, Ycov: np.ndarray
 ) -> np.ndarray:
-    """Variance of a_j'y_i per position (i, j), excluding the bias term."""
-    t1 = np.einsum("jk,ikl,jl->ij", A, Ycov, A, optimize=True)
-    t2 = np.einsum("ik,jkl,il->ij", Yb, Acov, Yb, optimize=True)
-    t3 = np.einsum("ikl,jkl->ij", Ycov, Acov, optimize=True)
-    return t1 + t2 + t3
+    """Variance of a_j'y_i per position (i, j), excluding the bias term.
+
+    With the q-by-q blocks flattened, a_j'Cy_i a_j + tr(Cy_i Ca_j) is one
+    matmul of the factor covariances with a_j a_j' + Ca_j, and
+    y_i'Ca_j y_i another, of y_i y_i' with the loading covariances.
+    """
+    n, q = Yb.shape
+    p = A.shape[0]
+    TA = (A[:, :, None] * A[:, None, :] + Acov).reshape(p, q * q)
+    YY = (Yb[:, :, None] * Yb[:, None, :]).reshape(n, q * q)
+    return Ycov.reshape(n, q * q) @ TA.T + YY @ Acov.reshape(p, q * q).T
 
 
 def reconstruct(model: VbpcaModel) -> Reconstruction:

@@ -47,6 +47,8 @@ from sigpca import (
 )
 from sigpca.significance import NullSpectra
 
+pytestmark = pytest.mark.acceptance
+
 
 def verdict(criterion: str, ok: bool, detail: str) -> None:
     line = f"{criterion} {'PASS' if ok else 'FAIL'}: {detail}"

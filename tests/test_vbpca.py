@@ -110,6 +110,33 @@ class TestFitRecovery:
         hidden_mse = float(((full - recon.mean)[hidden] ** 2).mean())
         assert hidden_mse < 1e-2
 
+    def test_convergence_flag(self):
+        gen = np.random.default_rng(3)
+        full = center_cols(rank_k_matrix(60, 20, 2, seed=3))
+        data = MaskedMatrix(full, gen.uniform(size=full.shape) > 0.1)
+        model = fit_q(data, 2)
+        assert model.converged and len(model.cost_trace) - 1 < 80
+        assert not fit_q(data, 2, max_iters=1).converged
+        assert not fit_q(complete(full), 2, max_iters=1).converged
+
+    def test_masked_loop_on_complete_data_matches_complete_loop(self):
+        # With every entry observed all rows share one mask, and the
+        # masked loop must retrace the complete one.
+        gen = np.random.default_rng(3)
+        x = center_cols(rank_k_matrix(60, 15, 4, seed=3) + 0.3 * gen.standard_normal((60, 15)))
+        data = complete(x)
+        config = VbpcaConfig(n_components=8, seed=3)
+        expected = vbpca._fit_complete(data, config)
+        model = vbpca._fit_masked(data, config, data.column_observed_counts())
+        assert model.converged and expected.converged
+        assert len(model.cost_trace) == len(expected.cost_trace)
+        for name in ("cost_trace", "free_energy_trace"):
+            np.testing.assert_allclose(getattr(model, name), getattr(expected, name), rtol=1e-10)
+        got, want = reconstruct(model), reconstruct(expected)
+        for name in ("mean", "var"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b)), name
+
     def test_posterior_covariances_symmetric_psd(self):
         data = complete(center_cols(np.random.default_rng(4).standard_normal((20, 8))))
         model = fit_q(data, 3)
@@ -186,16 +213,36 @@ class TestFreeEnergy:
         expected = free_energy_reference(data, model, va, vm)
         assert energy == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
-    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("masked", [False, True, "blocks"])
     def test_last_entry_is_free_energy_of_returned_model(self, masked):
         # The fit takes the covariance log-determinants from the
         # precisions and corrects them for the normal-form map; recomputing
         # them from the returned (mapped) covariances must agree.
         gen = np.random.default_rng(31)
         x = center_cols(rank_k_matrix(25, 9, 2, seed=32) + 0.2 * gen.standard_normal((25, 9)))
-        mask = gen.uniform(size=x.shape) > 0.2 if masked else np.ones(x.shape, dtype=bool)
+        if masked == "blocks":
+            # column blocks missing together, as a missing categorical cell
+            # hides its whole one-hot block, so rows repeat masks
+            blocks = np.repeat(np.arange(3), [3, 2, 4])
+            mask = (gen.uniform(size=(25, 3)) > 0.3)[:, blocks]
+        elif masked:
+            mask = gen.uniform(size=x.shape) > 0.2
+        else:
+            mask = np.ones(x.shape, dtype=bool)
         data = MaskedMatrix(np.where(mask, x, 0.0), mask)
         model = fit_q(data, 3)
+        if masked == "blocks":
+            rows = {}
+            for i, row in enumerate(mask):
+                rows.setdefault(row.tobytes(), []).append(i)
+            assert any(len(group) > 1 for group in rows.values())
+            for group in rows.values():
+                for i in group[1:]:
+                    assert np.array_equal(model.factors_cov[i], model.factors_cov[group[0]])
+            # normal form, with each row's covariance counted once
+            Y = model.factors_mean
+            second = Y @ Y.T / Y.shape[1] + model.factors_cov.mean(axis=0)
+            np.testing.assert_allclose(second, np.eye(3), atol=1e-10)
         scale = float(data.values[data.mask].var())
         anchor = max(scale, vbpca._ABS_SCALE_FLOOR)
         A = model.loadings_mean
