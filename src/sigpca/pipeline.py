@@ -196,7 +196,9 @@ def build_report(
     """Assemble the JSON-ready report dictionary.
 
     The report is schema-stable: the same fields always appear, with
-    ``null`` for p-values of ranks the sequential test never reached.
+    ``null`` for p-values of ranks the sequential test never reached and
+    for the null quantiles of kept ranks whose null was retired because
+    the test could no longer reach them.
     The config echo deliberately excludes the worker count, which never
     affects results.
     """
@@ -211,6 +213,8 @@ def build_report(
     ranks = []
     for r in range(q):
         tested = r < n_tested
+        # A retired null (after the last tested rank) has NaN quantiles.
+        null_q = [None if np.isnan(x) else float(x) for x in test.null_quantiles[r]]
         ranks.append(
             {
                 "rank": r + 1,
@@ -224,9 +228,9 @@ def build_report(
                     else None
                 ),
                 "adjusted_p": float(test.adjusted_p[r]) if tested else None,
-                "null_q05": float(test.null_quantiles[r, 0]),
-                "null_q50": float(test.null_quantiles[r, 1]),
-                "null_q95": float(test.null_quantiles[r, 2]),
+                "null_q05": null_q[0],
+                "null_q50": null_q[1],
+                "null_q95": null_q[2],
             }
         )
     return {

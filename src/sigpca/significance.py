@@ -13,7 +13,10 @@ what rank r would look like without its component.  Draws run one after
 another on the calling thread, each from its own random stream, and the
 Gram matrices of one draw share a single stacked eigensolve.  Ranks are
 tested sequentially with a Holm-Bonferroni step-down correction sized to
-the full spectrum.
+the full spectrum.  The null of a rank is drawn only while that test can
+still reach the rank: once the draws made so far decide that testing
+stops at an earlier rank, the later ranks' nulls are retired, so the
+cost of the null stage follows the ranks tested, not the ranks kept.
 
 Against unpaired null spectra the raw value at a rank is an exceedance
 p-value.  In the paired mode it is a posterior predictive probability,
@@ -171,7 +174,9 @@ class NullSpectra:
     normalised-value arrays, rows in sample order.  For per-rank nulls
     (see ``sample_rank_null_spectra``) column r of row k comes from the
     draw k made for rank r, so a row need not be one descending
-    spectrum."""
+    spectrum.  A rank whose null was retired before every draw was made
+    has an all-NaN column in both arrays; a column is never partly
+    drawn."""
 
     eigenvalues: np.ndarray
     normalized: np.ndarray
@@ -205,8 +210,13 @@ def _sample_spectra(
     (see ``sample_rank_null_spectra``).
 
     Draws run one after another on the calling thread.  Each draw forms
-    the Gram matrices of all its perturbed bases in one reused stack and
-    takes their eigenvalues in one ``sym_eigvals`` call.
+    the Gram matrices of its live perturbed bases in one reused stack and
+    takes their eigenvalues in one ``sym_eigvals`` call.  A rank's null
+    stays live while the step-down of ``count_significant`` (at
+    ``config.alpha``) can still test it: once the running exceedance count
+    of a live rank r already puts its Holm value at or above alpha, the
+    counts can only grow, so testing ends at r or before, and the nulls of
+    the ranks after r are retired.  Their columns come back all NaN.
     """
     mean = recon.mean
     if mean.ndim != 2:
@@ -231,20 +241,36 @@ def _sample_spectra(
     perturbed = np.empty(mean.shape)
     side = min(mean.shape)
     grams = np.empty((len(bases), side, side))
-    # Row 1 + r of a draw's spectra belongs to the null of rank r.
+    # Row 1 + r of a draw's spectra belongs to the null of rank r; the
+    # nulls of ranks [0, n_live) are drawn.
     removed = np.arange(n_removed)
+    exceed = np.zeros(n_removed, dtype=np.int64)
+    n_live = n_removed
     for k in range(n_samples):
         RngStream(config.seed, k).generator().standard_normal(out=noise)
         noise *= std
-        for base, gram in zip(bases, grams):
+        for base, gram in zip(bases[: 1 + n_live], grams):
             np.add(base, noise, out=perturbed)
             _gram(perturbed, out=gram)
-        lam = _rank_cutoff(sym_eigvals(grams)[:, :q], energy_floor)
+        lam = _rank_cutoff(sym_eigvals(grams[: 1 + n_live])[:, :q], energy_floor)
         norm = _normalize_rows(lam)
         eigenvalues[k] = null_eigenvalues[k] = lam[0]
         normalized[k] = null_normalized[k] = norm[0]
-        null_eigenvalues[k, :n_removed] = lam[1 + removed, removed]
-        null_normalized[k, :n_removed] = norm[1 + removed, removed]
+        live = removed[:n_live]
+        null_eigenvalues[k, :n_live] = lam[1 + live, live]
+        null_normalized[k, :n_live] = norm[1 + live, live]
+        # The paired exceedance rule of count_significant.  Its Holm values
+        # on the counts so far can only grow, so the first one at or above
+        # alpha marks a rank the step-down cannot pass.
+        hits = null_normalized[k, :n_live] >= normalized[k, :n_live]
+        if hits.any():
+            exceed[:n_live] += hits
+            adjusted = holm_bonferroni(exceed[:n_live] / n_samples, q)
+            stops = np.flatnonzero(adjusted >= config.alpha)
+            if stops.size:
+                n_live = int(stops[0]) + 1
+    null_eigenvalues[:, n_live:n_removed] = np.nan
+    null_normalized[:, n_live:n_removed] = np.nan
     for arr in (eigenvalues, normalized, null_eigenvalues, null_normalized):
         arr.flags.writeable = False
     return (
@@ -291,6 +317,15 @@ def sample_rank_null_spectra(
     Analyses pass the posterior predictive (``recon.var`` plus the noise
     variance), so that a component is judged against the noise in the
     data and not only against the uncertainty of the reconstruction.
+
+    A kept rank's null is drawn only while the step-down test of
+    ``count_significant`` at ``config.alpha`` can still reach the rank:
+    once the draws so far decide that testing ends at an earlier rank,
+    the rank's null is retired and its column comes back all NaN.  The
+    drawn columns, and so every p-value and count that test reports at
+    the same alpha, are bit for bit those of drawing every rank in full;
+    the cost of the null stage scales with the ranks tested rather than
+    the ranks kept.
     """
     n_components = int(np.count_nonzero(spectrum.eigenvalues))
     return _sample_spectra(recon, spectrum.n_ranks, config, energy_floor, n_components)
@@ -322,7 +357,9 @@ class SpectrumTestResult:
     (testing stops at the first adjusted p >= alpha).  ``n_significant``
     counts the ranks whose adjusted p stayed below alpha.
     ``null_quantiles`` holds the 5/50/95 percent points of the null
-    normalised values for every rank, shape (q, 3).
+    normalised values for every rank, shape (q, 3); its rows are NaN for
+    ranks whose null was retired (an all-NaN null column), all of which
+    lie after the last tested rank.
     """
 
     spectrum: Spectrum
@@ -352,7 +389,9 @@ def count_significant(
     statistic and is a posterior probability, not a p-value under a null
     hypothesis.  Ranks are tested from the top; after Holm adjustment
     sized to the full spectrum, testing stops at the first rank that is
-    not significant.
+    not significant.  Reaching a rank whose null column is not fully
+    drawn (a retired null, which only a larger alpha than the sampler's
+    can reach) raises ``ConfigError``.
     """
     q = spectrum.n_ranks
     if q < 2:
@@ -367,6 +406,11 @@ def count_significant(
     raw: list[float] = []
     adjusted = np.empty(0)
     for r in range(q):
+        if np.isnan(null.normalized[:, r]).any():
+            raise ConfigError(
+                f"the step-down reached rank {r + 1}, whose null was not drawn in "
+                f"full; sample the nulls at alpha >= {config.alpha}"
+            )
         if posterior is None:
             exceed = np.count_nonzero(null.normalized[:, r] > spectrum.normalized[r])
         else:

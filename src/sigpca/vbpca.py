@@ -86,8 +86,10 @@ class VbpcaConfig:
 
     ``n_components`` is the number of retained components (at least 2 and
     at most min(n, p) of the data).  Iteration stops after ``max_iters``
-    sweeps or once the relative change of the reconstruction cost drops
-    below ``conv_tol``.
+    sweeps, once the relative change of the reconstruction cost drops
+    below ``conv_tol``, or once that cost (a sum over the observed
+    entries) is at or below the noise-variance floor per observed entry,
+    where the fit is exact up to rounding.
     """
 
     n_components: int
@@ -130,9 +132,10 @@ class VbpcaModel:
     have the same length; models built by hand may leave the free-energy
     trace empty.
 
-    ``converged`` is True when the ``conv_tol`` test stopped the sweeps and
-    False when they ran to the ``max_iters`` cap (and for models built by
-    hand, which had no sweeps).
+    ``converged`` is True when the ``conv_tol`` test or the noise-floor
+    test (see ``VbpcaConfig``) stopped the sweeps and False when they ran
+    to the ``max_iters`` cap (and for models built by hand, which had no
+    sweeps).
     """
 
     loadings_mean: np.ndarray
@@ -376,7 +379,7 @@ def _fit_complete(data: MaskedMatrix, config: VbpcaConfig) -> VbpcaModel:
         )
         prev = trace[-1]
         trace.append(sse)
-        if abs(prev - sse) <= config.conv_tol * max(prev, _TINY):
+        if abs(prev - sse) <= config.conv_tol * max(prev, _TINY) or sse <= n * p * noise_floor:
             converged = True
             break
 
@@ -497,7 +500,7 @@ def _fit_masked(
         energy.append(free_energy(sse, second, -ld_py - n * ld_m, -_logdet(Pa) + p * ld_m))
         prev = trace[-1]
         trace.append(sse)
-        if abs(prev - sse) <= config.conv_tol * max(prev, _TINY):
+        if abs(prev - sse) <= config.conv_tol * max(prev, _TINY) or sse <= n_obs * noise_floor:
             converged = True
             break
 

@@ -182,6 +182,66 @@ class TestDeterminism:
         assert serial == threaded
 
 
+def typed_table_with_missing_cells(seed: int, n: int = 150) -> Dataset:
+    """Two latent factors behind 4 continuous, 3 four-level categorical and
+    1 binary column, with about 8 percent of the cells missing."""
+    gen = np.random.default_rng(seed)
+    factors = gen.standard_normal((n, 2))
+    scores = factors @ gen.standard_normal((2, 17)) + 0.5 * gen.standard_normal((n, 17))
+    categories = [np.argmax(scores[:, 4 + 4 * c : 8 + 4 * c], axis=1) for c in range(3)]
+    values = np.column_stack([scores[:, :4], *categories, scores[:, 16] > 0]).astype(float)
+    mask = gen.uniform(size=values.shape) > 0.08
+    schema = (
+        tuple(ColumnSchema(f"x{j}", "continuous") for j in range(4))
+        + tuple(ColumnSchema(f"c{j}", "categorical", levels=("a", "b", "c", "d")) for j in range(3))
+        + (ColumnSchema("flag", "binary", levels=("no", "yes")),)
+    )
+    return Dataset(
+        schema=schema,
+        matrix=MaskedMatrix(np.where(mask, values, 0.0), mask),
+        row_labels=tuple(str(i) for i in range(n)),
+    )
+
+
+class TestRetiredNulls:
+    """Kept ranks past the last tested one have their null retired; the
+    report gives their quantiles as null."""
+
+    def test_typed_table_reports_retired_quantiles_as_null(self):
+        import csv as csv_mod
+        import io
+
+        dataset = typed_table_with_missing_cells(seed=0)
+        options = AnalysisOptions(**FAST)
+
+        def reject_constant(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        texts = []
+        for _ in range(2):
+            result = analyze_dataset(dataset, options)
+            texts.append(report_to_json(build_report(result, "typed", options)))
+        assert texts[0] == texts[1]
+        report = json.loads(texts[0], parse_constant=reject_constant)
+        n_tested = result.test.raw_p.size
+        n_kept = int(np.count_nonzero(result.spectrum.eigenvalues))
+        assert n_kept > n_tested
+        quantile_cols = ("null_q05", "null_q50", "null_q95")
+        retired = [row["rank"] for row in report["ranks"] if row["null_q05"] is None]
+        assert retired and all(n_tested < rank <= n_kept for rank in retired)
+        for row in report["ranks"]:
+            is_retired = row["rank"] in retired
+            assert all((row[col] is None) == is_retired for col in quantile_cols)
+        rows = list(csv_mod.reader(io.StringIO(rank_table_to_csv(report))))
+        cols = [rows[0].index(col) for col in quantile_cols]
+        for line in rows[1:]:
+            cells = [line[c] for c in cols]
+            if int(line[0]) in retired:
+                assert cells == ["", "", ""]
+            else:
+                assert "" not in cells and "nan" not in cells
+
+
 class TestSchemaRoute:
     def test_analyze_dataset_runs_preprocessing_first(self):
         gen = np.random.default_rng(16)

@@ -237,11 +237,11 @@ class TestSampleRankNullSpectra:
         assert np.array_equal(result.raw_p, [0.0, 0.0, 1.0])
 
     @pytest.mark.parametrize(
-        "n, p, k, energy_floor",
-        [(12, 7, 2, 0.0), (12, 7, 0, 0.0), (6, 11, 3, 1e-3)],
+        "n, p, k, energy_floor, n_retired",
+        [(12, 7, 2, 0.0, 0), (12, 7, 0, 0.0, 0), (6, 11, 3, 1e-3, 2)],
         ids=["kept-ranks", "zero-ranks", "wide"],
     )
-    def test_rows_equal_the_one_matrix_computation(self, n, p, k, energy_floor):
+    def test_rows_equal_the_one_matrix_computation(self, n, p, k, energy_floor, n_retired):
         gen = np.random.default_rng(34)
         mean = rank_k_matrix(n, p, k, seed=34) if k else np.zeros((n, p))
         recon = Reconstruction(mean=mean, var=gen.uniform(0.005, 0.3, size=(n, p)))
@@ -250,21 +250,171 @@ class TestSampleRankNullSpectra:
         assert np.count_nonzero(spectrum.eigenvalues) == k
         cfg = SigTestConfig(n_null_samples=100, seed=6)
         posterior, null = sample_rank_null_spectra(recon, spectrum, cfg, energy_floor)
-        u, s, vt = np.linalg.svd(mean, full_matrices=False)
-        for row in range(cfg.n_null_samples):
-            gen_k = RngStream(cfg.seed, row).generator()
-            noise = np.sqrt(recon.var) * gen_k.standard_normal((n, p))
-            lam = _top_eigenvalues(mean + noise, q, energy_floor)
-            assert np.array_equal(posterior.eigenvalues[row], lam)
-            assert np.array_equal(posterior.normalized[row], normalized_eigenvalues(lam))
-            expected_lam, expected_norm = lam.copy(), normalized_eigenvalues(lam)
-            for r in range(k):
-                base = (u[:, :r] * s[:r]) @ vt[:r]
-                lam_r = _top_eigenvalues(base + noise, q, energy_floor)
-                expected_lam[r] = lam_r[r]
-                expected_norm[r] = normalized_eigenvalues(lam_r)[r]
-            assert np.array_equal(null.eigenvalues[row], expected_lam)
-            assert np.array_equal(null.normalized[row], expected_norm)
+        expected_post, expected_null = full_draw_reference(recon, q, k, cfg, energy_floor)
+        assert np.array_equal(posterior.eigenvalues, expected_post.eigenvalues)
+        assert np.array_equal(posterior.normalized, expected_post.normalized)
+        retired = retired_ranks(null)
+        drawn = ~retired
+        assert np.array_equal(null.eigenvalues[:, drawn], expected_null.eigenvalues[:, drawn])
+        assert np.array_equal(null.normalized[:, drawn], expected_null.normalized[:, drawn])
+        # Retired nulls are kept ranks past the last rank the test reaches.
+        n_tested = count_significant(spectrum, null, cfg, posterior).raw_p.size
+        assert np.count_nonzero(retired) == n_retired
+        assert np.all(np.flatnonzero(retired) >= n_tested)
+        assert np.all(np.flatnonzero(retired) < k)
+
+
+def full_draw_reference(recon, q, k, cfg, energy_floor=0.0):
+    """Posterior and per-rank null spectra with every rank drawn in every
+    draw, one matrix at a time."""
+    n, p = recon.mean.shape
+    u, s, vt = np.linalg.svd(recon.mean, full_matrices=False)
+    bases = [(u[:, :r] * s[:r]) @ vt[:r] for r in range(k)]
+    shape = (cfg.n_null_samples, q)
+    post_lam, post_norm = np.empty(shape), np.empty(shape)
+    null_lam, null_norm = np.empty(shape), np.empty(shape)
+    for row in range(cfg.n_null_samples):
+        gen_k = RngStream(cfg.seed, row).generator()
+        noise = np.sqrt(recon.var) * gen_k.standard_normal((n, p))
+        lam = _top_eigenvalues(recon.mean + noise, q, energy_floor)
+        post_lam[row] = null_lam[row] = lam
+        post_norm[row] = null_norm[row] = normalized_eigenvalues(lam)
+        for r, base in enumerate(bases):
+            lam_r = _top_eigenvalues(base + noise, q, energy_floor)
+            null_lam[row, r] = lam_r[r]
+            null_norm[row, r] = normalized_eigenvalues(lam_r)[r]
+    return (
+        NullSpectra(eigenvalues=post_lam, normalized=post_norm),
+        NullSpectra(eigenvalues=null_lam, normalized=null_norm),
+    )
+
+
+def retired_ranks(null: NullSpectra) -> np.ndarray:
+    """Ranks whose null column holds no draw; a column is never partly drawn."""
+    missing = np.isnan(null.normalized)
+    assert np.array_equal(missing, np.isnan(null.eigenvalues))
+    retired = missing.all(axis=0)
+    assert np.array_equal(missing.any(axis=0), retired)
+    return retired
+
+
+def weak_tail_recon(n, p, singular_values, var_scale, seed=5):
+    """Mean with the given singular values and a positive variance."""
+    gen = np.random.default_rng(seed)
+    k = len(singular_values)
+    left, _ = np.linalg.qr(gen.standard_normal((n, k)))
+    right, _ = np.linalg.qr(gen.standard_normal((p, k)))
+    mean = (left * np.asarray(singular_values, dtype=float)) @ right.T
+    return Reconstruction(mean=mean, var=var_scale * gen.uniform(0.5, 1.5, size=(n, p)))
+
+
+class TestNullRetirement:
+    """The sampler stops drawing a rank's null once the step-down cannot
+    reach it; everything the test reports must equal drawing every rank in
+    full."""
+
+    @pytest.mark.parametrize(
+        "n, p, singular_values, var_scale, alpha, n_samples, n_retired",
+        [
+            (14, 9, [6, 4, 1, 0.5, 0.3, 0.2], 0.05, 0.05, 100, 3),
+            (14, 9, [6, 4, 1, 0.5, 0.3, 0.2], 0.05, 0.2, 150, 3),
+            (14, 9, [6, 4, 1, 0.5, 0.3, 0.2], 0.05, 0.01, 300, 3),
+            (9, 14, [5, 2, 0.8, 0.5, 0.4], 0.05, 0.05, 100, 3),
+            (9, 14, [5, 2, 0.8, 0.5, 0.4], 0.05, 0.2, 150, 2),
+            (9, 14, [5, 2, 0.8, 0.5, 0.4], 0.05, 0.01, 300, 3),
+            # Zero variance: every kept null sits below the posterior but
+            # the last rank's, which ties it, so nothing is retired.
+            (10, 6, [5, 3, 2, 1], 0.0, 0.05, 100, 0),
+        ],
+        ids=[
+            "tall-a05-n100", "tall-a20-n150", "tall-a01-n300",
+            "wide-a05-n100", "wide-a20-n150", "wide-a01-n300", "zero-variance-tie",
+        ],
+    )
+    def test_matches_full_draw_reference(
+        self, n, p, singular_values, var_scale, alpha, n_samples, n_retired
+    ):
+        recon = weak_tail_recon(n, p, singular_values, var_scale)
+        k = len(singular_values)
+        q = k if var_scale == 0.0 else min(n, p) - 1
+        cfg = SigTestConfig(n_null_samples=n_samples, alpha=alpha, seed=3)
+        result, retired = self.check_against_full_draws(recon, q, k, cfg)
+        assert np.count_nonzero(retired) == n_retired
+        if var_scale == 0.0:
+            assert np.array_equal(result.raw_p, [0.0] * (k - 1) + [1.0])
+
+    @pytest.mark.parametrize(
+        "n, p, singular_values",
+        [(14, 9, [6, 3, 2.2, 1.8, 0.6, 0.4]), (9, 14, [6, 3, 2.2, 1.6, 0.6, 0.4])],
+        ids=["tall", "wide"],
+    )
+    def test_alphas_at_every_holm_value_match_full_draw_reference(self, n, p, singular_values):
+        # At alpha equal to a rank's final Holm value the test stops at
+        # that rank; one ulp above it the rank passes.  The sampler must
+        # retire exactly enough on both sides.
+        recon = weak_tail_recon(n, p, singular_values, 0.05)
+        k, q = len(singular_values), min(n, p) - 1
+        cfg = SigTestConfig(n_null_samples=100, seed=3)
+        full = full_draw_reference(recon, q, k, cfg)
+        exceed = np.count_nonzero(full[1].normalized >= full[0].normalized, axis=0)
+        holm = stepdown_adjust_reference(exceed / cfg.n_null_samples, q)
+        boundaries = sorted({float(h) for h in holm if 0.0 < h < 1.0})
+        assert len(boundaries) >= 2
+        for h in boundaries:
+            for alpha in (h, float(np.nextafter(h, 1.0))):
+                cfg = SigTestConfig(n_null_samples=100, alpha=alpha, seed=3)
+                self.check_against_full_draws(recon, q, k, cfg, full)
+
+    @staticmethod
+    def check_against_full_draws(recon, q, k, cfg, full=None):
+        """Sample lazily, test, and compare with the step-down written out
+        on every rank drawn in full; returns the result and retired ranks."""
+        spectrum = reconstruction_spectrum(recon.mean, q=q)
+        assert np.count_nonzero(spectrum.eigenvalues) == k
+        posterior, null = sample_rank_null_spectra(recon, spectrum, cfg)
+        result = count_significant(spectrum, null, cfg, posterior)
+        ref_post, ref_null = full or full_draw_reference(recon, q, k, cfg)
+        assert np.array_equal(posterior.normalized, ref_post.normalized)
+        exceed = np.count_nonzero(ref_null.normalized >= ref_post.normalized, axis=0)
+        raw, adjusted = [], np.empty(0)
+        for r in range(q):
+            raw.append(int(exceed[r]) / cfg.n_null_samples)
+            adjusted = stepdown_adjust_reference(raw, q)
+            if adjusted[-1] >= cfg.alpha:
+                break
+        assert np.array_equal(result.raw_p, raw)
+        assert np.array_equal(result.adjusted_p, adjusted)
+        assert result.n_significant == int(np.count_nonzero(adjusted < cfg.alpha))
+
+        retired = retired_ranks(null)
+        drawn = ~retired
+        assert np.all(np.flatnonzero(retired) >= len(raw))
+        assert np.array_equal(null.eigenvalues[:, drawn], ref_null.eigenvalues[:, drawn])
+        assert np.array_equal(null.normalized[:, drawn], ref_null.normalized[:, drawn])
+        ref_quantiles = np.percentile(ref_null.normalized, (5.0, 50.0, 95.0), axis=0).T
+        assert np.array_equal(result.null_quantiles[drawn], ref_quantiles[drawn])
+        assert np.all(np.isnan(result.null_quantiles[retired]))
+        return result, retired
+
+    def test_step_down_reaching_a_retired_rank_raises(self):
+        recon = weak_tail_recon(9, 14, [5, 2, 0.8, 0.5, 0.4], 0.05)
+        spectrum = reconstruction_spectrum(recon.mean, q=8)
+        cfg = SigTestConfig(n_null_samples=100, alpha=0.05, seed=3)
+        posterior, null = sample_rank_null_spectra(recon, spectrum, cfg)
+        assert np.array_equal(np.flatnonzero(retired_ranks(null)), [2, 3, 4])
+        result = count_significant(spectrum, null, cfg, posterior)
+        # Rank 2's raw p of 0.01 times 7 ranks stops the test at alpha
+        # 0.05; at alpha 0.2 it passes and the test reaches rank 3.
+        assert np.array_equal(result.raw_p, [0.0, 0.01])
+        looser = SigTestConfig(n_null_samples=100, alpha=0.2, seed=3)
+        with pytest.raises(ConfigError, match="rank 3"):
+            count_significant(spectrum, null, looser, posterior)
+        # A smaller alpha stops no later and never needs a retired rank.
+        stricter = SigTestConfig(n_null_samples=100, alpha=0.01, seed=3)
+        assert np.array_equal(count_significant(spectrum, null, stricter, posterior).raw_p, [0.0, 0.01])
+        # Unpaired testing that reaches a retired column is refused too.
+        with pytest.raises(ConfigError, match="not drawn in full"):
+            count_significant(Spectrum(spectrum.eigenvalues, np.full(8, 1e9)), null, cfg)
 
 
 class TestHolmBonferroni:

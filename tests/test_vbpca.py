@@ -118,6 +118,16 @@ class TestFitRecovery:
         assert model.converged and len(model.cost_trace) - 1 < 80
         assert not fit_q(data, 2, max_iters=1).converged
         assert not fit_q(complete(full), 2, max_iters=1).converged
+        # Noise-free fits: the squared error falls to a rounding residue
+        # whose relative change never settles, so the noise-floor test
+        # must stop the sweeps, complete and masked alike.
+        mask = gen.uniform(size=full.shape) > 0.1
+        for k in (1, 2, 3):
+            exact = center_cols(rank_k_matrix(60, 20, k, seed=1))
+            for data in (complete(exact), MaskedMatrix(exact, mask)):
+                model = fit_q(data, max(k, 2))
+                assert model.converged and len(model.cost_trace) - 1 < 80, (k, data.mask.all())
+                assert masked_mse(data, reconstruct(model).mean) < 1e-10
 
     def test_masked_loop_on_complete_data_matches_complete_loop(self):
         # With every entry observed all rows share one mask, and the
