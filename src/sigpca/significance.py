@@ -11,12 +11,19 @@ null for rank r adds the same perturbations to the reconstruction mean
 with its components at ranks r and beyond removed, so each draw shows
 what rank r would look like without its component.  Draws run one after
 another on the calling thread, each from its own random stream, and the
-Gram matrices of one draw share a single stacked eigensolve.  Ranks are
-tested sequentially with a Holm-Bonferroni step-down correction sized to
-the full spectrum.  The null of a rank is drawn only while that test can
-still reach the rank: once the draws made so far decide that testing
-stops at an earlier rank, the later ranks' nulls are retired, so the
-cost of the null stage follows the ranks tested, not the ranks kept.
+Gram matrices of one draw share a single stacked eigensolve.  All of a
+draw's nulls share its perturbation, so their Gram matrices are assembled
+from one Gram matrix of the perturbation, its thin product with the
+mean's leading singular vectors and the Gram matrix of each rank's
+approximation, computed once: a draw forms two dense Gram products
+however many ranks it tests.  The posterior Gram matrix is formed
+directly, so posterior spectra are exact; a null Gram matrix equals that
+of its perturbed matrix up to rounding.  Ranks are tested sequentially
+with a Holm-Bonferroni step-down correction sized to the full spectrum.
+The null of a rank is drawn only while that test can still reach the
+rank: once the draws made so far decide that testing stops at an earlier
+rank, the later ranks' nulls are retired, so the cost of the null stage
+follows the ranks tested, not the ranks kept.
 
 Against unpaired null spectra the raw value at a rank is an exceedance
 p-value.  In the paired mode it is a posterior predictive probability,
@@ -174,9 +181,10 @@ class NullSpectra:
     normalised-value arrays, rows in sample order.  For per-rank nulls
     (see ``sample_rank_null_spectra``) column r of row k comes from the
     draw k made for rank r, so a row need not be one descending
-    spectrum.  A rank whose null was retired before every draw was made
-    has an all-NaN column in both arrays; a column is never partly
-    drawn."""
+    spectrum, and its values agree with the spectrum of the perturbed
+    matrix built directly to rounding, not bit for bit.  A rank whose
+    null was retired before every draw was made has an all-NaN column in
+    both arrays; a column is never partly drawn."""
 
     eigenvalues: np.ndarray
     normalized: np.ndarray
@@ -210,13 +218,18 @@ def _sample_spectra(
     (see ``sample_rank_null_spectra``).
 
     Draws run one after another on the calling thread.  Each draw forms
-    the Gram matrices of its live perturbed bases in one reused stack and
-    takes their eigenvalues in one ``sym_eigvals`` call.  A rank's null
-    stays live while the step-down of ``count_significant`` (at
-    ``config.alpha``) can still test it: once the running exceedance count
-    of a live rank r already puts its Holm value at or above alpha, the
-    counts can only grow, so testing ends at r or before, and the nulls of
-    the ranks after r are retired.  Their columns come back all NaN.
+    the Gram matrix of the perturbed mean and the null Gram matrices of
+    its live ranks in one reused stack and takes their eigenvalues in one
+    ``sym_eigvals`` call.  The null Gram matrices are not products of
+    perturbed matrices: each is the draw's noise Gram plus the rank's
+    symmetrised cross term plus its fixed base Gram (the algebra is
+    spelled out below), exactly symmetric and equal to the direct product
+    up to rounding.  A rank's null stays live while the step-down of
+    ``count_significant`` (at ``config.alpha``) can still test it: once
+    the running exceedance count of a live rank r already puts its Holm
+    value at or above alpha, the counts can only grow, so testing ends at
+    r or before, and the nulls of the ranks after r are retired.  Their
+    columns come back all NaN.
     """
     mean = recon.mean
     if mean.ndim != 2:
@@ -228,10 +241,22 @@ def _sample_spectra(
     if energy_floor < 0.0 or not np.isfinite(energy_floor):
         raise ConfigError(f"energy_floor must be finite and >= 0, got {energy_floor}")
     std = np.sqrt(recon.var)
-    bases = [mean]
+    # Null Grams are built in the frame x whose x'x is the side _gram
+    # takes: the mean when it has more rows than columns, else its
+    # transpose.  There the null of rank r is (b_r + e)'(b_r + e) for the
+    # best rank-r approximation b_r = U_r S_r V_r' and the noise e, that
+    # is e'e + (c_r + c_r') + b_r'b_r with c_r = b_r'e = V_r S_r (U_r' e).
+    flip = mean.shape[0] <= mean.shape[1]
     if n_removed > 0:
         u, s, vt = np.linalg.svd(mean, full_matrices=False)
-        bases += [(u[:, :r] * s[:r]) @ vt[:r] for r in range(n_removed)]
+        base_grams = np.stack(
+            [_gram((u[:, :r] * s[:r]) @ vt[:r]) for r in range(n_removed)]
+        )
+        # Rows u_i' and s_i v_i' of the frame's singular vectors, for the
+        # ranks that some c_r sums over.
+        left, right = (vt, u.T) if flip else (u.T, vt)
+        left = left[: n_removed - 1]
+        right = right[: n_removed - 1] * s[: n_removed - 1, None]
     n_samples = config.n_null_samples
     eigenvalues = np.empty((n_samples, q))
     normalized = np.empty((n_samples, q))
@@ -239,8 +264,10 @@ def _sample_spectra(
     null_normalized = np.empty((n_samples, q))
     noise = np.empty(mean.shape)
     perturbed = np.empty(mean.shape)
+    e = noise.T if flip else noise
     side = min(mean.shape)
-    grams = np.empty((len(bases), side, side))
+    grams = np.empty((1 + n_removed, side, side))
+    cross = np.empty((side, side))
     # Row 1 + r of a draw's spectra belongs to the null of rank r; the
     # nulls of ranks [0, n_live) are drawn.
     removed = np.arange(n_removed)
@@ -249,9 +276,17 @@ def _sample_spectra(
     for k in range(n_samples):
         RngStream(config.seed, k).generator().standard_normal(out=noise)
         noise *= std
-        for base, gram in zip(bases[: 1 + n_live], grams):
-            np.add(base, noise, out=perturbed)
-            _gram(perturbed, out=gram)
+        np.add(mean, noise, out=perturbed)
+        _gram(perturbed, out=grams[0])
+        if n_live:
+            noise_gram = e.T @ e
+            projected = left[: n_live - 1] @ e
+            for r in range(n_live):
+                # c_r + c_r' first, so the sum stays exactly symmetric.
+                np.matmul(right[:r].T, projected[:r], out=cross)
+                np.add(cross, cross.T, out=grams[1 + r])
+                grams[1 + r] += noise_gram
+                grams[1 + r] += base_grams[r]
         lam = _rank_cutoff(sym_eigvals(grams[: 1 + n_live])[:, :q], energy_floor)
         norm = _normalize_rows(lam)
         eigenvalues[k] = null_eigenvalues[k] = lam[0]
@@ -311,9 +346,14 @@ def sample_rank_null_spectra(
     column r (0-based) of row k holds rank r of the spectrum of the same
     perturbation k added to the best rank-r approximation of the
     reconstruction mean instead of the mean itself: the draw that would
-    have been made had the mean no component at ranks r and beyond.
-    Ranks at which ``spectrum`` is zero have no component left to
-    remove, and their columns equal those of the posterior spectra.
+    have been made had the mean no component at ranks r and beyond.  Its
+    Gram matrix is assembled from shared products of the perturbation
+    (see ``_sample_spectra``), so null values agree with those of the
+    perturbed matrix built directly up to rounding (relative 1e-12 or
+    better in the tests), while the posterior spectra are bit for bit
+    those of ``sample_null_spectra``.  Ranks at which ``spectrum`` is
+    zero have no component left to remove, and their columns equal those
+    of the posterior spectra.
     Analyses pass the posterior predictive (``recon.var`` plus the noise
     variance), so that a component is judged against the noise in the
     data and not only against the uncertainty of the reconstruction.
@@ -321,11 +361,13 @@ def sample_rank_null_spectra(
     A kept rank's null is drawn only while the step-down test of
     ``count_significant`` at ``config.alpha`` can still reach the rank:
     once the draws so far decide that testing ends at an earlier rank,
-    the rank's null is retired and its column comes back all NaN.  The
-    drawn columns, and so every p-value and count that test reports at
-    the same alpha, are bit for bit those of drawing every rank in full;
-    the cost of the null stage scales with the ranks tested rather than
-    the ranks kept.
+    the rank's null is retired and its column comes back all NaN.
+    Retiring changes no drawn column, so every p-value and count that
+    test reports at the same alpha is that of drawing every rank in full
+    (it could differ from that of the directly built matrices only where
+    a null value lies within rounding of its posterior value); the cost
+    of the null stage scales with the ranks tested rather than the ranks
+    kept.
     """
     n_components = int(np.count_nonzero(spectrum.eigenvalues))
     return _sample_spectra(recon, spectrum.n_ranks, config, energy_floor, n_components)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from helpers import (
@@ -30,8 +30,10 @@ from sigpca import (
     sample_null_spectra,
     sample_rank_null_spectra,
 )
+from sigpca import significance
+from sigpca.linalg import sym_eigvals
 from sigpca.rng import RngStream
-from sigpca.significance import _top_eigenvalues
+from sigpca.significance import _gram, _top_eigenvalues
 
 descending_spectra = st.lists(
     st.floats(0.0, 1e6), min_size=1, max_size=12
@@ -79,7 +81,13 @@ class TestNormalizedEigenvalues:
 
     @given(lam=descending_spectra, c=st.floats(1e-6, 1e6))
     def test_invariance_under_arbitrary_scaling(self, c, lam):
-        delta = normalized_eigenvalues(c * lam) - normalized_eigenvalues(lam)
+        # The premise holds while c * lam is lam scaled: no entry rounds
+        # to 0 and none leaves the normal range.
+        scaled = c * lam
+        tiny = np.finfo(np.float64).tiny
+        assume(np.array_equal(scaled > 0.0, lam > 0.0))
+        assume(np.all((scaled == 0.0) | (scaled >= tiny)))
+        delta = normalized_eigenvalues(scaled) - normalized_eigenvalues(lam)
         assert np.max(np.abs(delta)) <= 1e-12
 
 
@@ -238,8 +246,8 @@ class TestSampleRankNullSpectra:
 
     @pytest.mark.parametrize(
         "n, p, k, energy_floor, n_retired",
-        [(12, 7, 2, 0.0, 0), (12, 7, 0, 0.0, 0), (6, 11, 3, 1e-3, 2)],
-        ids=["kept-ranks", "zero-ranks", "wide"],
+        [(12, 7, 2, 0.0, 0), (12, 7, 0, 0.0, 0), (10, 10, 4, 0.0, 0), (6, 11, 3, 1e-3, 2)],
+        ids=["kept-ranks", "zero-ranks", "square", "wide"],
     )
     def test_rows_equal_the_one_matrix_computation(self, n, p, k, energy_floor, n_retired):
         gen = np.random.default_rng(34)
@@ -255,8 +263,10 @@ class TestSampleRankNullSpectra:
         assert np.array_equal(posterior.normalized, expected_post.normalized)
         retired = retired_ranks(null)
         drawn = ~retired
-        assert np.array_equal(null.eigenvalues[:, drawn], expected_null.eigenvalues[:, drawn])
-        assert np.array_equal(null.normalized[:, drawn], expected_null.normalized[:, drawn])
+        # The nulls are assembled from shared products and match the
+        # direct computation to rounding.
+        assert_nulls_match(null.eigenvalues[:, drawn], expected_null.eigenvalues[:, drawn])
+        assert_nulls_match(null.normalized[:, drawn], expected_null.normalized[:, drawn])
         # Retired nulls are kept ranks past the last rank the test reaches.
         n_tested = count_significant(spectrum, null, cfg, posterior).raw_p.size
         assert np.count_nonzero(retired) == n_retired
@@ -264,9 +274,19 @@ class TestSampleRankNullSpectra:
         assert np.all(np.flatnonzero(retired) < k)
 
 
+def assert_nulls_match(actual, expected, exact=False):
+    """Drawn null values against the direct reference: bit for bit when
+    ``exact``, else to rounding (relative difference at most 1e-12, so a
+    zero stays an exact zero)."""
+    if exact:
+        assert np.array_equal(actual, expected)
+    else:
+        np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=0.0)
+
+
 def full_draw_reference(recon, q, k, cfg, energy_floor=0.0):
     """Posterior and per-rank null spectra with every rank drawn in every
-    draw, one matrix at a time."""
+    draw, one perturbed matrix at a time."""
     n, p = recon.mean.shape
     u, s, vt = np.linalg.svd(recon.mean, full_matrices=False)
     bases = [(u[:, :r] * s[:r]) @ vt[:r] for r in range(k)]
@@ -322,13 +342,18 @@ class TestNullRetirement:
             (9, 14, [5, 2, 0.8, 0.5, 0.4], 0.05, 0.05, 100, 3),
             (9, 14, [5, 2, 0.8, 0.5, 0.4], 0.05, 0.2, 150, 2),
             (9, 14, [5, 2, 0.8, 0.5, 0.4], 0.05, 0.01, 300, 3),
+            (10, 10, [6, 4, 1, 0.5, 0.3, 0.2], 0.05, 0.05, 100, 3),
+            (10, 10, [6, 4, 1, 0.5, 0.3, 0.2], 0.05, 0.2, 150, 3),
             # Zero variance: every kept null sits below the posterior but
             # the last rank's, which ties it, so nothing is retired.
             (10, 6, [5, 3, 2, 1], 0.0, 0.05, 100, 0),
+            (10, 10, [5, 3, 2, 1], 0.0, 0.05, 100, 0),
         ],
         ids=[
             "tall-a05-n100", "tall-a20-n150", "tall-a01-n300",
-            "wide-a05-n100", "wide-a20-n150", "wide-a01-n300", "zero-variance-tie",
+            "wide-a05-n100", "wide-a20-n150", "wide-a01-n300",
+            "square-a05-n100", "square-a20-n150",
+            "zero-variance-tie", "square-zero-variance-tie",
         ],
     )
     def test_matches_full_draw_reference(
@@ -389,11 +414,15 @@ class TestNullRetirement:
         retired = retired_ranks(null)
         drawn = ~retired
         assert np.all(np.flatnonzero(retired) >= len(raw))
-        assert np.array_equal(null.eigenvalues[:, drawn], ref_null.eigenvalues[:, drawn])
-        assert np.array_equal(null.normalized[:, drawn], ref_null.normalized[:, drawn])
         ref_quantiles = np.percentile(ref_null.normalized, (5.0, 50.0, 95.0), axis=0).T
-        assert np.array_equal(result.null_quantiles[drawn], ref_quantiles[drawn])
-        assert np.all(np.isnan(result.null_quantiles[retired]))
+        # Without noise there is no rounding to differ by.
+        exact = not np.any(recon.var)
+        assert_nulls_match(null.eigenvalues[:, drawn], ref_null.eigenvalues[:, drawn], exact)
+        assert_nulls_match(null.normalized[:, drawn], ref_null.normalized[:, drawn], exact)
+        assert_nulls_match(result.null_quantiles[drawn], ref_quantiles[drawn], exact)
+        assert np.array_equal(
+            np.isnan(result.null_quantiles), np.repeat(retired[:, None], 3, axis=1)
+        )
         return result, retired
 
     def test_step_down_reaching_a_retired_rank_raises(self):
@@ -415,6 +444,58 @@ class TestNullRetirement:
         # Unpaired testing that reaches a retired column is refused too.
         with pytest.raises(ConfigError, match="not drawn in full"):
             count_significant(Spectrum(spectrum.eigenvalues, np.full(8, 1e9)), null, cfg)
+
+
+class TestSharedNoiseGram:
+    """Each draw's null Grams are assembled from one noise Gram, a thin
+    cross term and the Gram of each rank-r approximation; they must match
+    the Gram of the perturbed approximation built directly, on the side
+    ``_gram`` takes, and be exactly symmetric."""
+
+    @pytest.mark.parametrize(
+        "n, p, singular_values, var_scale",
+        [
+            (14, 9, [6, 4, 1, 0.5, 0.3, 0.2], 0.05),
+            (10, 10, [6, 4, 2, 1, 0.5], 0.05),
+            (9, 14, [5, 2, 0.8, 0.5, 0.4], 0.05),
+            (10, 10, [5, 3, 2, 1], 0.0),
+        ],
+        ids=["tall", "square", "wide", "square-zero-variance"],
+    )
+    def test_assembled_grams_match_direct_grams(
+        self, n, p, singular_values, var_scale, monkeypatch
+    ):
+        stacks = []
+
+        def recording_eigvals(grams):
+            stacks.append(np.array(grams))
+            return sym_eigvals(grams)
+
+        recon = weak_tail_recon(n, p, singular_values, var_scale)
+        k = len(singular_values)
+        spectrum = reconstruction_spectrum(recon.mean, q=k if var_scale == 0.0 else min(n, p) - 1)
+        assert np.count_nonzero(spectrum.eigenvalues) == k
+        cfg = SigTestConfig(n_null_samples=100, seed=3)
+        monkeypatch.setattr(significance, "sym_eigvals", recording_eigvals)
+        sample_rank_null_spectra(recon, spectrum, cfg)
+        assert len(stacks) == cfg.n_null_samples
+
+        u, s, vt = np.linalg.svd(recon.mean, full_matrices=False)
+        bases = [(u[:, :r] * s[:r]) @ vt[:r] for r in range(k)]
+        for row, stack in enumerate(stacks):
+            gen_k = RngStream(cfg.seed, row).generator()
+            noise = np.sqrt(recon.var) * gen_k.standard_normal((n, p))
+            assert stack.shape[1:] == (min(n, p),) * 2
+            assert 2 <= stack.shape[0] <= 1 + k
+            assert np.array_equal(stack[0], _gram(recon.mean + noise))
+            for base, gram in zip(bases, stack[1:]):
+                assert np.array_equal(gram, gram.T)
+                direct = _gram(base + noise)
+                if var_scale == 0.0:
+                    assert np.array_equal(gram, direct)
+                else:
+                    scale = np.abs(direct).max()
+                    np.testing.assert_allclose(gram, direct, rtol=0.0, atol=1e-12 * scale)
 
 
 class TestHolmBonferroni:
