@@ -98,11 +98,7 @@ def frobenius_sq_masked(a: MaskedMatrix, b) -> float:
     b = _as_matrix(b, "b")
     if b.shape != a.shape:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if a.all_observed:
-        diff = a.values - b
-    else:
-        diff = np.where(a.mask, a.values - b, 0.0)
-    flat = diff.ravel()
+    flat = np.where(a.mask, a.values - b, 0.0).ravel()
     return float(np.dot(flat, flat))
 
 

@@ -20,13 +20,14 @@ residual uncertainty is what the downstream null resampling relies on.
 
 Missing entries are excluded from every sufficient statistic.  A row's
 factor posterior covariance then depends only on which of its entries
-are observed, so the masked sweep computes one per distinct row mask
+are observed, and a column's loading posterior covariance only on which
+of its rows are, so the sweep computes one factor covariance per
+distinct row mask and one loading covariance per distinct column mask
 (typed tables repeat masks: a missing categorical cell hides its whole
-one-hot block) and writes every sum over observed entries as a matmul
-over flattened q-by-q blocks (Ilin & Raiko 2010, JMLR 11).  When the
-data are fully observed all rows share one posterior covariance and all
-columns share another, and the sweep reduces to a handful of dense
-matrix products; that path is used automatically.
+one-hot block), and writes every sum over observed entries as a
+pattern-weighted matmul (Ilin & Raiko 2010, JMLR 11).  Complete data are
+the case of one row mask and one column mask, where those sums are a
+handful of dense matrix products.
 """
 
 from __future__ import annotations
@@ -114,10 +115,17 @@ class VbpcaModel:
     """Posterior summary of one fit.
 
     Shapes, for n rows, p columns and q components: ``loadings_mean``
-    (p, q) with per-row covariance blocks ``loadings_cov`` (p, q, q),
-    ``factors_mean`` (q, n) with per-column blocks ``factors_cov``
-    (n, q, q), bias mean/variance of length p, the scalar noise variance,
-    and two traces recorded at initialisation and after each sweep.
+    (p, q) and ``factors_mean`` (q, n); bias mean/variance of length p;
+    the scalar noise variance; and two traces recorded at initialisation
+    and after each sweep.  Posterior covariances are stored once per
+    block of data columns (rows) that share one: ``loadings_cov``
+    (c, q, q) holds c blocks and ``loadings_pattern`` (p,) the block of
+    each data column, so column j's loading covariance is
+    ``loadings_cov[loadings_pattern[j]]``; likewise ``factors_cov``
+    (u, q, q) and ``factors_pattern`` (n,) for the factors of the data
+    rows.  A fit makes one block per distinct column (row) mask, so a
+    complete fit holds one of each; models built by hand may use one
+    block per column and row with identity patterns.
 
     ``cost_trace`` is the squared error of the posterior-mean
     reconstruction over observed entries.  Its relative change decides
@@ -140,8 +148,10 @@ class VbpcaModel:
 
     loadings_mean: np.ndarray
     loadings_cov: np.ndarray
+    loadings_pattern: np.ndarray
     factors_mean: np.ndarray
     factors_cov: np.ndarray
+    factors_pattern: np.ndarray
     bias_mean: np.ndarray
     bias_var: np.ndarray
     noise_var: float
@@ -183,11 +193,6 @@ def _inv_sym(s: np.ndarray) -> np.ndarray:
     return 0.5 * (inv + np.swapaxes(inv, -1, -2))
 
 
-def _logdet(s: np.ndarray) -> float:
-    """Summed log-determinants of a positive definite matrix (or a batch)."""
-    return float(np.sum(np.linalg.slogdet(s)[1]))
-
-
 def _free_energy(
     fit_sq: float,
     n_obs: int,
@@ -200,7 +205,7 @@ def _free_energy(
     ca_logdet: float,
     va: np.ndarray,
     m: np.ndarray,
-    mvar,
+    mvar: np.ndarray,
     vm: float,
 ) -> float:
     """Variational free energy (negative evidence lower bound) of a fit.
@@ -208,15 +213,14 @@ def _free_energy(
     ``fit_sq`` is the expected squared error over the ``n_obs`` observed
     entries: the squared error of the posterior mean plus the posterior
     second-moment terms.  ``cy_trace``/``cy_logdet`` are the trace and
-    log-determinant summed over the factor covariance blocks,
-    ``ca_diag``/``ca_logdet`` the diagonal (per component) and
-    log-determinant summed over the loading covariance blocks.  The
-    priors are N(0, I) on factors, N(0, diag(va)) on loading rows and
-    N(0, vm) on bias entries.
+    log-determinant summed over the factors' covariances (one per data
+    row), ``ca_diag``/``ca_logdet`` the diagonal (per component) and
+    log-determinant summed over the loadings' covariances (one per data
+    column).  The priors are N(0, I) on factors, N(0, diag(va)) on
+    loading rows and N(0, vm) on bias entries.
     """
     n, q = Yb.shape
     p = A.shape[0]
-    mvar = np.broadcast_to(mvar, m.shape)
     likelihood = 0.5 * (n_obs * np.log(2.0 * np.pi * v) + fit_sq / v)
     kl_factors = 0.5 * (cy_trace + float(np.sum(Yb * Yb)) - n * q - cy_logdet)
     kl_loadings = 0.5 * (
@@ -234,8 +238,46 @@ def _free_energy(
     return float(likelihood + kl_factors + kl_loadings + kl_bias)
 
 
+def _patterns(mask: np.ndarray):
+    """Group the rows of a boolean matrix by their values.
+
+    Returns the distinct rows as floats, the index of each row's group,
+    the group sizes as floats, and the first row of each group.
+    """
+    # each row as one opaque byte string: np.unique(axis=0) would compare
+    # them field by field, about 30x slower
+    mask = np.ascontiguousarray(mask)
+    keys = mask.view(np.dtype((np.void, mask.shape[1]))).ravel()
+    _, first, index, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    return mask[first].astype(np.float64), index, counts.astype(np.float64), first
+
+
+def _pattern_sums(weights: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Row k is the sum of weights[k, i] x_i x_i' over the rows x_i of
+    ``X``, flattened to q*q.  One pattern is one dense product, without
+    the per-row outer products."""
+    if len(weights) == 1:
+        return ((X.T * weights[0]) @ X).reshape(1, -1)
+    return weights @ (X[:, :, None] * X[:, None, :]).reshape(len(X), -1)
+
+
+def _matvec(blocks: np.ndarray, index: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Row k of the result is blocks[index[k]] @ vecs[k], for symmetric
+    blocks.  One block is one dense product, without copying it per row."""
+    if len(blocks) == 1:
+        return vecs @ blocks[0]
+    return np.matmul(blocks[index], vecs[:, :, None])[:, :, 0]
+
+
 def fit(data: MaskedMatrix, config: VbpcaConfig) -> VbpcaModel:
     """Fit the model to ``data`` and return the posterior summary.
+
+    Rows (columns) with the same mask share one factor (loading)
+    posterior covariance, so the model holds one covariance block per
+    distinct row mask and per distinct column mask; complete data give
+    one of each.
 
     Raises ConfigError if ``n_components`` exceeds min(n, p), DataError if
     a column has no observed entries, NumericalError if the cost becomes
@@ -251,9 +293,125 @@ def fit(data: MaskedMatrix, config: VbpcaConfig) -> VbpcaModel:
     if np.any(col_counts == 0):
         bad = int(np.flatnonzero(col_counts == 0)[0])
         raise DataError(f"column {bad} has no observed entries")
-    if data.all_observed:
-        return _fit_complete(data, config)
-    return _fit_masked(data, config, col_counts)
+    V = data.values  # masked-out entries are zero
+    W = data.mask.astype(np.float64)
+    qq = q * q
+    n_obs = int(col_counts.sum())
+    # One factor block per distinct row mask (u) and one loading block per
+    # distinct column mask (c).  The mask is constant on every (row
+    # pattern, column pattern) pair; ``block`` (u, c) holds its value.
+    Wr, row_pattern, row_weights, _ = _patterns(data.mask)
+    Wc, col_pattern, col_weights, col_first = _patterns(data.mask.T)
+    block = Wr[:, col_first]
+    u, c = len(Wr), len(Wc)
+    A, Yb, m, scale = _init_state(data, q, config.seed)
+    anchor = max(scale, _ABS_SCALE_FLOOR)
+    eye = np.eye(q)
+    Ca = np.broadcast_to(eye * _INIT_COV, (c, q, q)).copy()
+    Cy = np.broadcast_to(eye * _INIT_COV, (u, q, q)).copy()
+    mvar = np.full(p, _INIT_COV)
+    va = np.full(q, anchor * _INIT_PRIOR_REL)
+    vm = 1.0
+    prior_floor = anchor * _PRIOR_FLOOR_REL
+    uncertainty_floor = anchor * _PRIOR_UNCERTAINTY_FLOOR_REL
+    noise_floor = anchor * _NOISE_FLOOR_REL
+    v = max(scale, anchor)
+
+    def column_sums() -> tuple[np.ndarray, np.ndarray]:
+        # per column pattern, over its observed rows i: the sum of
+        # y_i y_i' + Cy_i, and of Cy_i alone (once per row pattern)
+        Scy = (block.T * row_weights) @ Cy.reshape(u, qq)
+        return _pattern_sums(Wc, Yb) + Scy, Scy
+
+    def second_moments(Sy: np.ndarray, Scy: np.ndarray) -> float:
+        # posterior second moments over observed entries: y'Ca y + tr(Cy Ca)
+        # from Sy, a'Cy a from Scy, and the bias variances
+        return float(
+            col_weights @ np.sum(Sy * Ca.reshape(c, qq), axis=1)
+            + np.sum(_matvec(Scy.reshape(c, q, q), col_pattern, A) * A)
+            + col_counts @ mvar
+        )
+
+    def masked_sse(fit_mean: np.ndarray) -> float:
+        flat = ((V - fit_mean - m) * W).ravel()
+        return float(np.dot(flat, flat))
+
+    def free_energy(sse: float, second: float, ld_cy: float, ld_ca: float) -> float:
+        return _free_energy(
+            sse + second, n_obs, v, Yb, float(row_weights @ np.trace(Cy, axis1=1, axis2=2)),
+            ld_cy, A, col_weights @ Ca.diagonal(axis1=1, axis2=2), ld_ca, va, m, mvar, vm,
+        )
+
+    trace = [masked_sse(Yb @ A.T)]
+    ld_init = q * np.log(_INIT_COV)
+    energy = [free_energy(trace[0], second_moments(*column_sums()), n * ld_init, p * ld_init)]
+    converged = False
+
+    for it in range(config.max_iters):
+        Rm = (V - m) * W
+        # factor posteriors; each row pattern sums a_j a_j' + Ca_j over its
+        # observed columns j, the covariances once per column pattern
+        Sa = _pattern_sums(Wr, A) + (block * col_weights) @ Ca.reshape(c, qq)
+        Py = eye + Sa.reshape(u, q, q) / v
+        Cy = _inv_sym(Py)
+        Yb = _matvec(Cy, row_pattern, Rm @ A) / v
+        # loading posteriors under the per-component prior
+        Sy, Scy = column_sums()
+        Pa = np.diag(1.0 / va) + Sy.reshape(c, q, q) / v
+        Ca = _inv_sym(Pa)
+        A = _matvec(Ca, col_pattern, Rm.T @ Yb) / v
+        # bias
+        F = Yb @ A.T
+        mvar = 1.0 / (col_counts / v + 1.0 / vm)
+        m = (mvar / v) * (((V - F) * W).sum(axis=0))
+        # the normal form below leaves the second moments unchanged
+        second = second_moments(Sy, Scy)
+        # normal form via the average posterior covariances
+        Cy_mean = (row_weights @ Cy.reshape(u, qq)).reshape(q, q) / n
+        Ca_mean = (col_weights @ Ca.reshape(c, qq)).reshape(q, q) / p
+        M, N = _gauge_maps(A, Ca_mean, Yb, Cy_mean, n, p)
+        A = A @ M
+        Ca = M.T @ Ca @ M
+        Yb = Yb @ N
+        Cy = N.T @ Cy @ N
+        # prior variances by evidence maximisation, floored so pruned
+        # components keep honest uncertainty
+        va = np.maximum(
+            (A * A).mean(axis=0) + col_weights @ Ca.diagonal(axis1=1, axis2=2) / p,
+            uncertainty_floor,
+        )
+        vm = max(float(np.dot(m, m)) / p + float(mvar.mean()), prior_floor)
+        # noise variance from residual plus posterior second moments
+        sse = masked_sse(Yb @ A.T)
+        if not np.isfinite(sse):
+            raise NumericalError(f"cost became non-finite at iteration {it + 1}")
+        v = max((sse + second) / n_obs, noise_floor)
+        # the gauge maps scale the covariance determinants by det(M)^2
+        # (loadings) and det(N)^2 = det(M)^-2 (factors)
+        ld_m = 2.0 * float(np.linalg.slogdet(M)[1])
+        ld_py = float(row_weights @ np.linalg.slogdet(Py)[1])
+        ld_pa = float(col_weights @ np.linalg.slogdet(Pa)[1])
+        energy.append(free_energy(sse, second, -ld_py - n * ld_m, -ld_pa + p * ld_m))
+        prev = trace[-1]
+        trace.append(sse)
+        if abs(prev - sse) <= config.conv_tol * max(prev, _TINY) or sse <= n_obs * noise_floor:
+            converged = True
+            break
+
+    return VbpcaModel(
+        loadings_mean=_freeze(A),
+        loadings_cov=_freeze(Ca),
+        loadings_pattern=_freeze(col_pattern),
+        factors_mean=_freeze(Yb.T.copy()),
+        factors_cov=_freeze(Cy),
+        factors_pattern=_freeze(row_pattern),
+        bias_mean=_freeze(m),
+        bias_var=_freeze(mvar),
+        noise_var=float(v),
+        cost_trace=_freeze(np.asarray(trace)),
+        free_energy_trace=_freeze(np.asarray(energy)),
+        converged=converged,
+    )
 
 
 def _init_state(data: MaskedMatrix, q: int, seed: int):
@@ -269,11 +427,7 @@ def _init_state(data: MaskedMatrix, q: int, seed: int):
     loadings = (gen.standard_normal((p, cap)) * _INIT_STD)[:, :q].copy()
     factors = (gen.standard_normal((n, cap)) * _INIT_STD)[:, :q].copy()
     bias = data.column_means()
-    if data.all_observed:
-        scale = float(data.values.var())
-    else:
-        obs = data.values[data.mask]
-        scale = float(obs.var()) if obs.size else 0.0
+    scale = float(data.values[data.mask].var())
     return loadings, factors, bias, scale
 
 
@@ -299,269 +453,24 @@ def _gauge_maps(A: np.ndarray, Ca_mean: np.ndarray, Yb: np.ndarray,
     return T @ V, Tinv_t @ V  # M (loadings), N (factors)
 
 
-def _fit_complete(data: MaskedMatrix, config: VbpcaConfig) -> VbpcaModel:
-    V = data.values
-    n, p = V.shape
-    q = config.n_components
-    A, Yb, m, scale = _init_state(data, q, config.seed)
-    anchor = max(scale, _ABS_SCALE_FLOOR)
-    eye = np.eye(q)
-    Ca = eye * _INIT_COV  # loading-row covariance, shared across rows
-    Cy = eye * _INIT_COV  # factor-column covariance, shared across columns
-    mvar = _INIT_COV
-    va = np.full(q, anchor * _INIT_PRIOR_REL)
-    vm = 1.0
-    prior_floor = anchor * _PRIOR_FLOOR_REL
-    uncertainty_floor = anchor * _PRIOR_UNCERTAINTY_FLOOR_REL
-    noise_floor = anchor * _NOISE_FLOOR_REL
-    v = max(scale, anchor)
-
-    def second_moments() -> float:
-        return (
-            n * float(np.sum((A @ Cy) * A))
-            + p * float(np.sum((Yb @ Ca) * Yb))
-            + n * p * float(np.sum(Ca * Cy))
-            + n * p * mvar
-        )
-
-    def free_energy(sse: float, second: float, ld_cy: float, ld_ca: float) -> float:
-        return _free_energy(
-            sse + second, n * p, v, Yb, n * float(np.trace(Cy)), ld_cy,
-            A, p * np.diag(Ca), ld_ca, va, m, mvar, vm,
-        )
-
-    Rm = V - m
-    resid = Rm - Yb @ A.T
-    flat = resid.ravel()
-    trace = [float(np.dot(flat, flat))]
-    ld_init = q * np.log(_INIT_COV)
-    energy = [free_energy(trace[0], second_moments(), n * ld_init, p * ld_init)]
-    converged = False
-
-    for it in range(config.max_iters):
-        # factor posteriors (unit prior)
-        Py = eye + (A.T @ A + p * Ca) / v
-        Cy = _inv_sym(Py)
-        Yb = (Rm @ A) @ Cy / v
-        # loading posteriors under the per-component prior
-        Pa = np.diag(1.0 / va) + (Yb.T @ Yb + n * Cy) / v
-        Ca = _inv_sym(Pa)
-        A = (Rm.T @ Yb) @ Ca / v
-        # bias
-        F = Yb @ A.T
-        mvar = 1.0 / (n / v + 1.0 / vm)
-        m = (mvar / v) * (V - F).sum(axis=0)
-        Rm = V - m
-        # normal form: reconstruction unchanged, coordinates rotated
-        M, N = _gauge_maps(A, Ca, Yb, Cy, n, p)
-        A = A @ M
-        Ca = M.T @ Ca @ M
-        Yb = Yb @ N
-        Cy = N.T @ Cy @ N
-        F = Yb @ A.T
-        # prior variances by evidence maximisation, floored so pruned
-        # components keep honest uncertainty
-        va = np.maximum((A * A).mean(axis=0) + np.diag(Ca), uncertainty_floor)
-        vm = max(float(np.dot(m, m)) / p + mvar, prior_floor)
-        # noise variance from residual plus posterior second moments
-        resid = Rm - F
-        flat = resid.ravel()
-        sse = float(np.dot(flat, flat))
-        if not np.isfinite(sse):
-            raise NumericalError(f"cost became non-finite at iteration {it + 1}")
-        second = second_moments()
-        v = max((sse + second) / (n * p), noise_floor)
-        # the gauge maps scale the covariance determinants by det(M)^2
-        # (loadings) and det(N)^2 = det(M)^-2 (factors)
-        ld_m = 2.0 * float(np.linalg.slogdet(M)[1])
-        energy.append(
-            free_energy(sse, second, n * (-_logdet(Py) - ld_m), p * (-_logdet(Pa) + ld_m))
-        )
-        prev = trace[-1]
-        trace.append(sse)
-        if abs(prev - sse) <= config.conv_tol * max(prev, _TINY) or sse <= n * p * noise_floor:
-            converged = True
-            break
-
-    return VbpcaModel(
-        loadings_mean=_freeze(A),
-        loadings_cov=np.broadcast_to(_freeze(Ca), (p, q, q)),
-        factors_mean=_freeze(Yb.T.copy()),
-        factors_cov=np.broadcast_to(_freeze(Cy), (n, q, q)),
-        bias_mean=_freeze(m),
-        bias_var=_freeze(np.full(p, mvar)),
-        noise_var=float(v),
-        cost_trace=_freeze(np.asarray(trace)),
-        free_energy_trace=_freeze(np.asarray(energy)),
-        converged=converged,
-    )
-
-
-def _fit_masked(
-    data: MaskedMatrix, config: VbpcaConfig, col_counts: np.ndarray
-) -> VbpcaModel:
-    V = data.values  # masked-out entries are zero
-    W = data.mask.astype(np.float64)
-    n, p = V.shape
-    q = config.n_components
-    qq = q * q
-    n_obs = int(col_counts.sum())
-    # A row's factor posterior depends on the data only through which of
-    # its entries are observed, so rows sharing a mask share one factor
-    # precision and covariance: one block per distinct mask (pattern).
-    patterns, row_pattern, pattern_rows = np.unique(
-        data.mask, axis=0, return_inverse=True, return_counts=True
-    )
-    row_pattern = row_pattern.ravel()
-    Wu = patterns.astype(np.float64)
-    weights = pattern_rows.astype(np.float64)
-    u = len(patterns)
-    A, Yb, m, scale = _init_state(data, q, config.seed)
-    anchor = max(scale, _ABS_SCALE_FLOOR)
-    eye = np.eye(q)
-    Ca = np.broadcast_to(eye * _INIT_COV, (p, q, q)).copy()
-    Cy = np.broadcast_to(eye * _INIT_COV, (u, q, q)).copy()  # one block per pattern
-    mvar = np.full(p, _INIT_COV)
-    va = np.full(q, anchor * _INIT_PRIOR_REL)
-    vm = 1.0
-    prior_floor = anchor * _PRIOR_FLOOR_REL
-    uncertainty_floor = anchor * _PRIOR_UNCERTAINTY_FLOOR_REL
-    noise_floor = anchor * _NOISE_FLOOR_REL
-    v = max(scale, anchor)
-
-    def masked_sse(fit_mean: np.ndarray, bias: np.ndarray) -> float:
-        r = (V - fit_mean - bias) * W
-        flat = r.ravel()
-        return float(np.dot(flat, flat))
-
-    def free_energy(sse: float, second: float, ld_cy: float, ld_ca: float) -> float:
-        return _free_energy(
-            sse + second, n_obs, v, Yb, float(weights @ np.trace(Cy, axis1=1, axis2=2)),
-            ld_cy, A, Ca.diagonal(axis1=1, axis2=2).sum(axis=0), ld_ca, va, m, mvar, vm,
-        )
-
-    trace = [masked_sse(Yb @ A.T, m)]
-    ld_init = q * np.log(_INIT_COV)
-    second = float(((_second_moment_terms(A, Ca, Yb, Cy[row_pattern]) + mvar) * W).sum())
-    energy = [free_energy(trace[0], second, n * ld_init, p * ld_init)]
-    converged = False
-
-    for it in range(config.max_iters):
-        Rm = (V - m) * W
-        # factor posteriors; each pattern sums a_j a_j' + Ca_j over its
-        # observed columns j
-        TA = (A[:, :, None] * A[:, None, :] + Ca).reshape(p, qq)
-        Py = eye + (Wu @ TA).reshape(u, q, q) / v
-        Cy = _inv_sym(Py)
-        Yb = _matvec(Cy[row_pattern], Rm @ A) / v
-        # loading posteriors; column j sums y_i y_i' + Cy_i over its
-        # observed rows i, the covariances once per pattern
-        YY = (Yb[:, :, None] * Yb[:, None, :]).reshape(n, qq)
-        Scy = Wu.T @ (weights[:, None] * Cy.reshape(u, qq))
-        Sy = W.T @ YY + Scy
-        Pa = np.diag(1.0 / va) + Sy.reshape(p, q, q) / v
-        Ca = _inv_sym(Pa)
-        A = _matvec(Ca, Rm.T @ Yb) / v
-        # bias
-        F = Yb @ A.T
-        mvar = 1.0 / (col_counts / v + 1.0 / vm)
-        m = (mvar / v) * (((V - F) * W).sum(axis=0))
-        # posterior second moments over observed entries, summed per column
-        # from the statistics above: y'Ca y + tr(Cy Ca) from Sy, a'Cy a
-        # from Scy.  The normal form below leaves them unchanged.
-        AA = (A[:, :, None] * A[:, None, :]).reshape(p, qq)
-        second = float(
-            np.sum(Sy * Ca.reshape(p, qq)) + np.sum(Scy * AA) + np.dot(col_counts, mvar)
-        )
-        # normal form via the average posterior covariances
-        Cy_mean = (weights @ Cy.reshape(u, qq)).reshape(q, q) / n
-        M, N = _gauge_maps(A, Ca.mean(axis=0), Yb, Cy_mean, n, p)
-        A = A @ M
-        Ca = M.T @ Ca @ M
-        Yb = Yb @ N
-        Cy = N.T @ Cy @ N
-        F = Yb @ A.T
-        # prior variances, floored so pruned components keep honest
-        # uncertainty
-        va = np.maximum(
-            (A * A).mean(axis=0) + Ca.diagonal(axis1=1, axis2=2).mean(axis=0),
-            uncertainty_floor,
-        )
-        vm = max(float(np.dot(m, m)) / p + float(mvar.mean()), prior_floor)
-        # noise variance
-        sse = masked_sse(F, m)
-        if not np.isfinite(sse):
-            raise NumericalError(f"cost became non-finite at iteration {it + 1}")
-        v = max((sse + second) / n_obs, noise_floor)
-        # the gauge maps scale the covariance determinants by det(M)^2
-        # (loadings) and det(N)^2 = det(M)^-2 (factors)
-        ld_m = 2.0 * float(np.linalg.slogdet(M)[1])
-        ld_py = float(weights @ np.linalg.slogdet(Py)[1])
-        energy.append(free_energy(sse, second, -ld_py - n * ld_m, -_logdet(Pa) + p * ld_m))
-        prev = trace[-1]
-        trace.append(sse)
-        if abs(prev - sse) <= config.conv_tol * max(prev, _TINY) or sse <= n_obs * noise_floor:
-            converged = True
-            break
-
-    return VbpcaModel(
-        loadings_mean=_freeze(A),
-        loadings_cov=_freeze(Ca),
-        factors_mean=_freeze(Yb.T.copy()),
-        factors_cov=_freeze(Cy[row_pattern]),
-        bias_mean=_freeze(m),
-        bias_var=_freeze(mvar),
-        noise_var=float(v),
-        cost_trace=_freeze(np.asarray(trace)),
-        free_energy_trace=_freeze(np.asarray(energy)),
-        converged=converged,
-    )
-
-
-def _matvec(blocks: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Row k of the result is blocks[k] @ vecs[k]."""
-    return np.matmul(blocks, vecs[:, :, None])[:, :, 0]
-
-
-def _second_moment_terms(
-    A: np.ndarray, Acov: np.ndarray, Yb: np.ndarray, Ycov: np.ndarray
-) -> np.ndarray:
-    """Variance of a_j'y_i per position (i, j), excluding the bias term.
-
-    With the q-by-q blocks flattened, a_j'Cy_i a_j + tr(Cy_i Ca_j) is one
-    matmul of the factor covariances with a_j a_j' + Ca_j, and
-    y_i'Ca_j y_i another, of y_i y_i' with the loading covariances.
-    """
-    n, q = Yb.shape
-    p = A.shape[0]
-    TA = (A[:, :, None] * A[:, None, :] + Acov).reshape(p, q * q)
-    YY = (Yb[:, :, None] * Yb[:, None, :]).reshape(n, q * q)
-    return Ycov.reshape(n, q * q) @ TA.T + YY @ Acov.reshape(p, q * q).T
-
-
 def reconstruct(model: VbpcaModel) -> Reconstruction:
     """Posterior mean and elementwise variance of the reconstruction.
 
     The variance at (i, j) combines the factor covariance mapped through
     the loading mean, the loading covariance mapped through the factor
     mean, the product of the two covariances, and the bias variance.
+    Each term is formed once per covariance block and spread to the rows
+    and columns through the model's patterns.
     """
     A = model.loadings_mean
     Yb = model.factors_mean.T
+    Cy, Ca = model.factors_cov, model.loadings_cov
+    rows, cols = model.factors_pattern, model.loadings_pattern
     mean = Yb @ A.T + model.bias_mean
-    shared = model.factors_cov.strides[0] == 0 and model.loadings_cov.strides[0] == 0
-    if shared:
-        Cy = model.factors_cov[0]
-        Ca = model.loadings_cov[0]
-        per_col = np.sum((A @ Cy) * A, axis=1)  # a_j' Cy a_j
-        per_row = np.sum((Yb @ Ca) * Yb, axis=1)  # y_i' Ca y_i
-        cross = float(np.sum(Ca * Cy))
-        var = per_row[:, None] + (per_col + cross + model.bias_var)[None, :]
-    else:
-        var = (
-            _second_moment_terms(A, model.loadings_cov, Yb, model.factors_cov)
-            + model.bias_var[None, :]
-        )
+    a_cy_a = np.einsum("kjq,jq->kj", A @ Cy, A)  # a_j' Cy_k a_j, (u, p)
+    y_ca_y = np.einsum("liq,iq->il", Yb @ Ca, Yb)  # y_i' Ca_l y_i, (n, c)
+    cross = Cy.reshape(len(Cy), -1) @ Ca.reshape(len(Ca), -1).T  # tr(Cy_k Ca_l)
+    var = (a_cy_a + cross[:, cols] + model.bias_var)[rows] + y_ca_y[:, cols]
     var = np.maximum(var, 0.0)
     return Reconstruction(mean=_freeze(mean), var=_freeze(var))
 

@@ -11,6 +11,7 @@ from helpers import (
     mc_reconstruction_variance,
     random_posterior_model,
     rank_k_matrix,
+    ungrouped_fit_reference,
 )
 from sigpca import (
     AnalysisOptions,
@@ -83,8 +84,10 @@ class TestFitRecovery:
         for field in (
             "loadings_mean",
             "loadings_cov",
+            "loadings_pattern",
             "factors_mean",
             "factors_cov",
+            "factors_pattern",
             "bias_mean",
             "bias_var",
             "cost_trace",
@@ -129,16 +132,32 @@ class TestFitRecovery:
                 assert model.converged and len(model.cost_trace) - 1 < 80, (k, data.mask.all())
                 assert masked_mse(data, reconstruct(model).mean) < 1e-10
 
-    def test_masked_loop_on_complete_data_matches_complete_loop(self):
-        # With every entry observed all rows share one mask, and the
-        # masked loop must retrace the complete one.
+    @pytest.mark.parametrize("masked", [False, True, "blocks"])
+    def test_grouped_fit_matches_ungrouped_reference(self, masked):
+        # The fit shares one posterior covariance among rows (columns) with
+        # one mask; the reference forms every row's and column's posterior
+        # on its own, so the two must retrace each other.
         gen = np.random.default_rng(3)
-        x = center_cols(rank_k_matrix(60, 15, 4, seed=3) + 0.3 * gen.standard_normal((60, 15)))
-        data = complete(x)
-        config = VbpcaConfig(n_components=8, seed=3)
-        expected = vbpca._fit_complete(data, config)
-        model = vbpca._fit_masked(data, config, data.column_observed_counts())
-        assert model.converged and expected.converged
+        x = center_cols(rank_k_matrix(40, 12, 3, seed=3) + 0.3 * gen.standard_normal((40, 12)))
+        if masked == "blocks":
+            # whole column blocks missing together: rows and columns both
+            # repeat masks
+            blocks = np.repeat(np.arange(4), [3, 2, 4, 3])
+            mask = (gen.uniform(size=(40, 4)) > 0.25)[:, blocks]
+        elif masked:
+            mask = gen.uniform(size=x.shape) > 0.15
+        else:
+            mask = np.ones(x.shape, dtype=bool)
+        data = MaskedMatrix(x, mask)
+        config = VbpcaConfig(n_components=6, seed=3)
+        model = fit(data, config)
+        expected = ungrouped_fit_reference(data, config)
+        n_rows = len({row.tobytes() for row in mask})
+        n_cols = len({col.tobytes() for col in mask.T})
+        assert (len(model.factors_cov), len(model.loadings_cov)) == (n_rows, n_cols)
+        if masked == "blocks":
+            assert n_rows < 40 and n_cols < 12
+        assert model.converged == expected.converged
         assert len(model.cost_trace) == len(expected.cost_trace)
         for name in ("cost_trace", "free_energy_trace"):
             np.testing.assert_allclose(getattr(model, name), getattr(expected, name), rtol=1e-10)
@@ -205,16 +224,18 @@ class TestFreeEnergy:
         resid = data.values - recon.mean
         fit_sq = float(np.sum((resid**2 + recon.var)[mask]))
         A = model.loadings_mean
+        Cy = model.factors_cov[model.factors_pattern]
+        Ca = model.loadings_cov[model.loadings_pattern]
         energy = _free_energy(
             fit_sq,
             int(mask.sum()),
             model.noise_var,
             model.factors_mean.T,
-            float(np.trace(model.factors_cov, axis1=1, axis2=2).sum()),
-            float(np.linalg.slogdet(model.factors_cov)[1].sum()),
+            float(np.trace(Cy, axis1=1, axis2=2).sum()),
+            float(np.linalg.slogdet(Cy)[1].sum()),
             A,
-            model.loadings_cov.diagonal(axis1=1, axis2=2).sum(axis=0),
-            float(np.linalg.slogdet(model.loadings_cov)[1].sum()),
+            Ca.diagonal(axis1=1, axis2=2).sum(axis=0),
+            float(np.linalg.slogdet(Ca)[1].sum()),
             va,
             model.bias_mean,
             model.bias_var,
@@ -241,24 +262,37 @@ class TestFreeEnergy:
             mask = np.ones(x.shape, dtype=bool)
         data = MaskedMatrix(np.where(mask, x, 0.0), mask)
         model = fit_q(data, 3)
+        Cy = model.factors_cov[model.factors_pattern]
+        Ca = model.loadings_cov[model.loadings_pattern]
+        if not masked:
+            assert (len(model.factors_cov), len(model.loadings_cov)) == (1, 1)
+            assert not model.factors_pattern.any() and not model.loadings_pattern.any()
         if masked == "blocks":
-            rows = {}
-            for i, row in enumerate(mask):
-                rows.setdefault(row.tobytes(), []).append(i)
-            assert any(len(group) > 1 for group in rows.values())
-            for group in rows.values():
-                for i in group[1:]:
-                    assert np.array_equal(model.factors_cov[i], model.factors_cov[group[0]])
+            # rows (columns) sharing a mask share one factor (loading)
+            # block, and rows (columns) with different masks do not
+            for masks, pattern, blocks, size in (
+                (mask, model.factors_pattern, model.factors_cov, 25),
+                (mask.T, model.loadings_pattern, model.loadings_cov, 9),
+            ):
+                groups = {}
+                for i, row in enumerate(masks):
+                    groups.setdefault(row.tobytes(), []).append(i)
+                assert len(groups) < size and len(blocks) == len(groups)
+                assert sorted({int(pattern[group[0]]) for group in groups.values()}) == list(
+                    range(len(groups))
+                )
+                for group in groups.values():
+                    assert np.all(pattern[group] == pattern[group[0]])
             # normal form, with each row's covariance counted once
             Y = model.factors_mean
-            second = Y @ Y.T / Y.shape[1] + model.factors_cov.mean(axis=0)
+            second = Y @ Y.T / Y.shape[1] + Cy.mean(axis=0)
             np.testing.assert_allclose(second, np.eye(3), atol=1e-10)
         scale = float(data.values[data.mask].var())
         anchor = max(scale, vbpca._ABS_SCALE_FLOOR)
         A = model.loadings_mean
         # the prior variances as the last sweep set them
         va = np.maximum(
-            (A * A).mean(axis=0) + model.loadings_cov.diagonal(axis1=1, axis2=2).mean(axis=0),
+            (A * A).mean(axis=0) + Ca.diagonal(axis1=1, axis2=2).mean(axis=0),
             anchor * vbpca._PRIOR_UNCERTAINTY_FLOOR_REL,
         )
         m = model.bias_mean
@@ -273,8 +307,10 @@ class TestReconstruct:
         model = VbpcaModel(
             loadings_mean=np.array([[2.0]]),
             loadings_cov=np.array([[[0.5]]]),
+            loadings_pattern=np.arange(1),
             factors_mean=np.array([[3.0]]),
             factors_cov=np.array([[[0.25]]]),
+            factors_pattern=np.arange(1),
             bias_mean=np.array([7.0]),
             bias_var=np.array([0.1]),
             noise_var=1.0,
@@ -292,8 +328,10 @@ class TestReconstruct:
         model = VbpcaModel(
             loadings_mean=gen.standard_normal((p, q)),
             loadings_cov=np.zeros((p, q, q)),
+            loadings_pattern=np.arange(p),
             factors_mean=gen.standard_normal((q, n)),
             factors_cov=np.zeros((n, q, q)),
+            factors_pattern=np.arange(n),
             bias_mean=gen.standard_normal(p),
             bias_var=np.zeros(p),
             noise_var=1.0,
