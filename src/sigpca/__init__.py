@@ -27,10 +27,8 @@ from .ingest import (
     one_hot,
     preprocess,
     read_schema,
-    write_csv,
-    write_schema,
 )
-from .linalg import MaskedMatrix, frobenius_sq_masked, sym_eigvals
+from .linalg import MaskedMatrix, sym_eigvals
 from .pipeline import (
     AnalysisOptions,
     AnalysisResult,
@@ -46,7 +44,7 @@ from .pipeline import (
     summarize_validation,
     validation_summary_to_csv,
 )
-from .rng import RngStream, derive_seed, standard_normal
+from .rng import RngStream, derive_seed
 from .significance import (
     NullSpectra,
     SigTestConfig,
@@ -104,7 +102,6 @@ __all__ = [
     "draw_factors",
     "drop_sparse_columns",
     "fit",
-    "frobenius_sq_masked",
     "generate",
     "holm_bonferroni",
     "load_csv",
@@ -121,11 +118,8 @@ __all__ = [
     "sample_rank_null_spectra",
     "scenario_grid",
     "select_n_components",
-    "standard_normal",
     "summarize_validation",
     "sym_eigvals",
     "validation_summary_to_csv",
-    "write_csv",
-    "write_schema",
     "__version__",
 ]

@@ -1,4 +1,11 @@
-"""CSV ingest: schema-driven parsing and the fixed preprocessing chain.
+"""CSV ingest: one CSV reader with two entry points, and the fixed
+preprocessing chain.
+
+:func:`load_csv` (typed tables, checked against a schema) and
+:func:`load_matrix_csv` (plain numeric matrices) share one reader: it
+strips the header, asks the entry point for one cell parser per column,
+masks missing tokens and reports bad cells by row and column.  The two
+sparse-column filters likewise share one keep computation.
 
 Preprocessing always runs in the same order: drop columns that are
 mostly missing, expand discrete columns to indicator columns, then
@@ -6,7 +13,7 @@ center every column (and scale continuous ones to unit sample standard
 deviation).  Each step appends a line to the dataset's provenance log.
 
 Discrete columns are stored internally as level indices; indicator
-expansion and CSV round-trips both work off the declared level order.
+expansion works off the declared level order.
 Ordinal columns are expanded like categorical ones unless their schema
 entry sets ``as_numeric``, in which case the level index is kept as a
 numeric code and the column is centered but never scaled.
@@ -23,6 +30,7 @@ would distort the very variance structure under test.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -84,26 +92,20 @@ class ColumnSchema:
 
 @dataclass(frozen=True)
 class Dataset:
-    """A masked matrix with per-column schema, row labels, and the
-    ordered provenance log of every transform applied so far."""
+    """A masked matrix with per-column schema and the ordered provenance
+    log of every transform applied so far."""
 
     schema: tuple[ColumnSchema, ...]
     matrix: MaskedMatrix
-    row_labels: tuple[str, ...]
     provenance: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "schema", tuple(self.schema))
-        object.__setattr__(self, "row_labels", tuple(self.row_labels))
         object.__setattr__(self, "provenance", tuple(self.provenance))
         if len(self.schema) != self.matrix.n_cols:
             raise DataError(
                 f"schema describes {len(self.schema)} columns, matrix has "
                 f"{self.matrix.n_cols}"
-            )
-        if len(self.row_labels) != self.matrix.n_rows:
-            raise DataError(
-                f"{len(self.row_labels)} row labels for {self.matrix.n_rows} rows"
             )
         names = [c.name for c in self.schema]
         if len(set(names)) != len(names):
@@ -121,6 +123,76 @@ def _names(columns) -> str:
     return ",".join(columns) if columns else "-"
 
 
+def _parse_number(cell: str) -> float:
+    try:
+        value = float(cell)
+    except ValueError:
+        raise ValueError(f"unparseable number {cell!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {cell!r}")
+    return value
+
+
+def _level_parser(levels: tuple[str, ...]):
+    index = {lvl: float(i) for i, lvl in enumerate(levels)}
+
+    def parse(cell: str) -> float:
+        try:
+            return index[cell]
+        except KeyError:
+            raise ValueError(f"value {cell!r} not among levels {list(levels)}") from None
+
+    return parse
+
+
+def _read_csv(path, missing_tokens, column_parsers) -> MaskedMatrix:
+    """The one CSV reader behind both ingest routes.
+
+    ``column_parsers`` receives the stripped header before any data row
+    is read, checks it (raising LoadError), and returns one parser per
+    column.  Cells are stripped of surrounding whitespace; a cell matching
+    one of ``missing_tokens`` is recorded as missing, and any other cell
+    goes to its column's parser, whose ValueError becomes a LoadError
+    naming the row and column.
+    """
+    tokens = frozenset(missing_tokens)
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise LoadError(f"{path}: empty file") from None
+        columns = list(zip(header, column_parsers(header)))
+        values: list[list[float]] = []
+        mask: list[list[bool]] = []
+        for row_num, row in enumerate(reader, start=1):
+            if len(row) != len(columns):
+                raise LoadError(
+                    f"{path}: row {row_num} has {len(row)} cells, expected {len(columns)}"
+                )
+            v_row = []
+            m_row = []
+            for (name, parse), cell in zip(columns, row):
+                cell = cell.strip()
+                if cell in tokens:
+                    v_row.append(0.0)
+                    m_row.append(False)
+                    continue
+                try:
+                    value = parse(cell)
+                except ValueError as exc:
+                    raise LoadError(f"{path}: row {row_num}, column {name!r}: {exc}") from None
+                v_row.append(value)
+                m_row.append(True)
+            values.append(v_row)
+            mask.append(m_row)
+    if not values:
+        raise LoadError(f"{path}: no data rows")
+    return MaskedMatrix(
+        np.asarray(values, dtype=np.float64), np.asarray(mask, dtype=bool)
+    )
+
+
 def load_csv(path, schema, missing_tokens=DEFAULT_MISSING_TOKENS) -> Dataset:
     """Parse a CSV file against ``schema``.
 
@@ -131,148 +203,28 @@ def load_csv(path, schema, missing_tokens=DEFAULT_MISSING_TOKENS) -> Dataset:
     otherwise a LoadError names the offending row and column.
     """
     schema = tuple(schema)
-    tokens = frozenset(missing_tokens)
     names = [c.name for c in schema]
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise LoadError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
+
+    def parsers(header):
         if header != names:
             raise LoadError(
                 f"{path}: header {header} does not match schema columns {names}"
             )
-        level_index = {
-            c.name: {lvl: float(i) for i, lvl in enumerate(c.levels)}
-            for c in schema
-            if c.is_discrete
-        }
-        values: list[list[float]] = []
-        mask: list[list[bool]] = []
-        for row_num, row in enumerate(reader, start=1):
-            if len(row) != len(schema):
-                raise LoadError(
-                    f"{path}: row {row_num} has {len(row)} cells, expected {len(schema)}"
-                )
-            v_row = []
-            m_row = []
-            for col, cell in zip(schema, row):
-                cell = cell.strip()
-                if cell in tokens:
-                    v_row.append(0.0)
-                    m_row.append(False)
-                    continue
-                if col.kind == "continuous":
-                    try:
-                        parsed = float(cell)
-                    except ValueError:
-                        raise LoadError(
-                            f"{path}: row {row_num}, column {col.name!r}: "
-                            f"unparseable number {cell!r}"
-                        ) from None
-                    if not np.isfinite(parsed):
-                        raise LoadError(
-                            f"{path}: row {row_num}, column {col.name!r}: "
-                            f"non-finite value {cell!r}"
-                        )
-                else:
-                    try:
-                        parsed = level_index[col.name][cell]
-                    except KeyError:
-                        raise LoadError(
-                            f"{path}: row {row_num}, column {col.name!r}: "
-                            f"value {cell!r} not among levels {list(col.levels)}"
-                        ) from None
-                v_row.append(parsed)
-                m_row.append(True)
-            values.append(v_row)
-            mask.append(m_row)
-    if not values:
-        raise LoadError(f"{path}: no data rows")
-    matrix = MaskedMatrix(
-        np.asarray(values, dtype=np.float64), np.asarray(mask, dtype=bool)
-    )
-    labels = tuple(str(i) for i in range(matrix.n_rows))
+        return [_level_parser(c.levels) if c.is_discrete else _parse_number for c in schema]
+
+    matrix = _read_csv(path, missing_tokens, parsers)
     step = (
         f"load_csv path={path} rows={matrix.n_rows} cols={matrix.n_cols} "
-        f"missing_tokens={sorted(tokens)!r}"
+        f"missing_tokens={sorted(frozenset(missing_tokens))!r}"
     )
-    return Dataset(schema=schema, matrix=matrix, row_labels=labels, provenance=(step,))
-
-
-def write_csv(dataset: Dataset, path, missing_token: str = "NA") -> None:
-    """Write ``dataset`` back out as CSV, inverse of :func:`load_csv`.
-
-    Continuous cells use shortest round-trip float formatting, discrete
-    cells are mapped back to their level strings, missing cells become
-    ``missing_token``.
-    """
-    mat = dataset.matrix
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(dataset.column_names)
-        for i in range(mat.n_rows):
-            row = []
-            for j, col in enumerate(dataset.schema):
-                if not mat.mask[i, j]:
-                    row.append(missing_token)
-                elif col.is_discrete:
-                    row.append(col.levels[int(mat.values[i, j])])
-                else:
-                    row.append(repr(float(mat.values[i, j])))
-            writer.writerow(row)
+    return Dataset(schema=schema, matrix=matrix, provenance=(step,))
 
 
 def load_matrix_csv(path, missing_tokens=DEFAULT_MISSING_TOKENS) -> MaskedMatrix:
     """Parse a plain numeric CSV (header row then number cells) into a
     masked matrix.  Cells matching a missing token are masked out; any
     other cell must parse as a finite number."""
-    tokens = frozenset(missing_tokens)
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise LoadError(f"{path}: empty file") from None
-        width = len(header)
-        values: list[list[float]] = []
-        mask: list[list[bool]] = []
-        for row_num, row in enumerate(reader, start=1):
-            if len(row) != width:
-                raise LoadError(
-                    f"{path}: row {row_num} has {len(row)} cells, expected {width}"
-                )
-            v_row = []
-            m_row = []
-            for col_idx, cell in enumerate(row):
-                cell = cell.strip()
-                if cell in tokens:
-                    v_row.append(0.0)
-                    m_row.append(False)
-                    continue
-                try:
-                    parsed = float(cell)
-                except ValueError:
-                    raise LoadError(
-                        f"{path}: row {row_num}, column {header[col_idx].strip()!r}: "
-                        f"unparseable number {cell!r}"
-                    ) from None
-                if not np.isfinite(parsed):
-                    raise LoadError(
-                        f"{path}: row {row_num}, column {header[col_idx].strip()!r}: "
-                        f"non-finite value {cell!r}"
-                    )
-                v_row.append(parsed)
-                m_row.append(True)
-            values.append(v_row)
-            mask.append(m_row)
-    if not values:
-        raise LoadError(f"{path}: no data rows")
-    return MaskedMatrix(
-        np.asarray(values, dtype=np.float64), np.asarray(mask, dtype=bool)
-    )
+    return _read_csv(path, missing_tokens, lambda header: [_parse_number] * len(header))
 
 
 def write_matrix_csv(matrix: MaskedMatrix, path, missing_token: str = "NA") -> None:
@@ -291,17 +243,23 @@ def write_matrix_csv(matrix: MaskedMatrix, path, missing_token: str = "NA") -> N
             )
 
 
+def _dense_columns(matrix: MaskedMatrix, threshold: float) -> np.ndarray:
+    """Keep-mask of the columns whose missing fraction is at most
+    ``threshold``; shared by both sparse-column filters."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ConfigError(f"threshold must be in [0, 1], got {threshold}")
+    keep = 1.0 - matrix.column_observed_counts() / matrix.n_rows <= threshold
+    if not np.any(keep):
+        raise DataError("every column exceeds the missing-fraction threshold")
+    return keep
+
+
 def drop_sparse_matrix_columns(
     matrix: MaskedMatrix, threshold: float = 0.5
 ) -> MaskedMatrix:
     """Drop matrix columns whose missing fraction strictly exceeds
     ``threshold``; schema-less counterpart of :func:`drop_sparse_columns`."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ConfigError(f"threshold must be in [0, 1], got {threshold}")
-    missing_frac = 1.0 - matrix.column_observed_counts() / matrix.n_rows
-    keep = missing_frac <= threshold
-    if not np.any(keep):
-        raise DataError("every column exceeds the missing-fraction threshold")
+    keep = _dense_columns(matrix, threshold)
     if np.all(keep):
         return matrix
     return MaskedMatrix(matrix.values[:, keep], matrix.mask[:, keep])
@@ -321,18 +279,12 @@ def center_columns(matrix: MaskedMatrix) -> MaskedMatrix:
 
 def drop_sparse_columns(dataset: Dataset, threshold: float = 0.5) -> Dataset:
     """Drop columns whose missing fraction strictly exceeds ``threshold``."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ConfigError(f"threshold must be in [0, 1], got {threshold}")
     mat = dataset.matrix
-    missing_frac = 1.0 - mat.column_observed_counts() / mat.n_rows
-    keep = missing_frac <= threshold
+    keep = _dense_columns(mat, threshold)
     dropped = [c.name for c, k in zip(dataset.schema, keep) if not k]
-    if not np.any(keep):
-        raise DataError("every column exceeds the missing-fraction threshold")
     out = Dataset(
         schema=tuple(c for c, k in zip(dataset.schema, keep) if k),
         matrix=MaskedMatrix(mat.values[:, keep], mat.mask[:, keep]),
-        row_labels=dataset.row_labels,
         provenance=dataset.provenance,
     )
     return out.with_step(
@@ -372,7 +324,6 @@ def one_hot(dataset: Dataset) -> Dataset:
         matrix=MaskedMatrix(
             np.column_stack(new_values), np.column_stack(new_mask)
         ),
-        row_labels=dataset.row_labels,
         provenance=dataset.provenance,
     )
     return out.with_step(f"one_hot encoded={_names(encoded)}")
@@ -421,7 +372,6 @@ def center_scale(dataset: Dataset) -> Dataset:
             ColumnSchema(name=dataset.schema[j].name, kind="continuous") for j in keep
         ),
         matrix=MaskedMatrix(values[:, keep], mat.mask[:, keep]),
-        row_labels=dataset.row_labels,
         provenance=dataset.provenance,
     )
     return out.with_step(
@@ -470,39 +420,3 @@ def read_schema(path) -> tuple[ColumnSchema, ...]:
     if not columns:
         raise LoadError(f"{path}: no columns declared")
     return tuple(columns)
-
-
-def write_schema(schema, path) -> None:
-    """Inverse of :func:`read_schema`."""
-    with open(path, "w") as handle:
-        for col in schema:
-            parts = [col.name, col.kind]
-            if col.levels is not None:
-                parts.append(",".join(col.levels))
-            if col.as_numeric:
-                parts.append("numeric")
-            handle.write(" ".join(parts) + "\n")
-
-
-def save_processed(dataset: Dataset, values_path, mask_path, provenance_path) -> None:
-    """Write the processed matrix as a values/mask CSV pair plus the
-    provenance log as plain text lines."""
-    mat = dataset.matrix
-    with open(values_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(dataset.column_names)
-        for i in range(mat.n_rows):
-            writer.writerow(
-                [
-                    repr(float(mat.values[i, j])) if mat.mask[i, j] else ""
-                    for j in range(mat.n_cols)
-                ]
-            )
-    with open(mask_path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(dataset.column_names)
-        for i in range(mat.n_rows):
-            writer.writerow([int(x) for x in mat.mask[i]])
-    with open(provenance_path, "w") as handle:
-        for step in dataset.provenance:
-            handle.write(step + "\n")

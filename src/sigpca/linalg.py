@@ -8,7 +8,7 @@ sentinel values leaking into the arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class MaskedMatrix:
 
     values: np.ndarray
     mask: np.ndarray
-    all_observed: bool = field(init=False)
 
     def __post_init__(self) -> None:
         values = _as_matrix(self.values, "values")
@@ -58,7 +57,6 @@ class MaskedMatrix:
         mask.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "all_observed", bool(mask.all()))
 
     @classmethod
     def complete(cls, values) -> "MaskedMatrix":
@@ -78,9 +76,6 @@ class MaskedMatrix:
     def n_cols(self) -> int:
         return self.values.shape[1]
 
-    def observed_count(self) -> int:
-        return int(np.count_nonzero(self.mask))
-
     def column_observed_counts(self) -> np.ndarray:
         return np.count_nonzero(self.mask, axis=0)
 
@@ -90,16 +85,6 @@ class MaskedMatrix:
         counts = self.column_observed_counts()
         sums = self.values.sum(axis=0)
         return np.divide(sums, counts, out=np.zeros(self.n_cols), where=counts > 0)
-
-
-def frobenius_sq_masked(a: MaskedMatrix, b) -> float:
-    """Squared Frobenius distance between ``a`` and ``b`` over observed
-    entries of ``a``."""
-    b = _as_matrix(b, "b")
-    if b.shape != a.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    flat = np.where(a.mask, a.values - b, 0.0).ravel()
-    return float(np.dot(flat, flat))
 
 
 def sym_eigvals(s) -> np.ndarray:

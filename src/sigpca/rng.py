@@ -53,17 +53,6 @@ class RngStream:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         return np.random.default_rng(seq)
 
-    def split(self, stream: int) -> "RngStream":
-        """Sibling stream under the same seed."""
-        return RngStream(self.seed, stream)
-
-
-def standard_normal(rng: RngStream, n: int) -> np.ndarray:
-    """Draw ``n`` i.i.d. standard normal variates from ``rng``."""
-    if n < 0:
-        raise ConfigError(f"draw count must be nonnegative, got {n}")
-    return rng.generator().standard_normal(n)
-
 
 def derive_seed(seed: int, *path: int) -> int:
     """Derive a child seed from ``seed`` along an integer path.

@@ -1,18 +1,19 @@
 """Shared oracle helpers for the test suite.
 
 Everything here is implemented independently of the package internals so
-that it can serve as a cross-check: Monte Carlo estimators, a literal
-step-down adjustment, plain-numpy spectrum computations, and a fit
-written with one posterior per row and per column.  That fit shares only
-the start, the normal-form maps and the free-energy formula with the
-package, each of which is tested on its own.
+that it can serve as a cross-check: a masked squared error, Monte Carlo
+estimators, a literal step-down adjustment, plain-numpy spectrum
+computations, and a fit written with one posterior per row and per
+column.  That fit shares only the start, the normal-form maps and the
+free-energy formula with the package, each of which is tested on its
+own.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from sigpca import MaskedMatrix, VbpcaConfig, VbpcaModel
+from sigpca import MaskedMatrix, ShapeError, VbpcaConfig, VbpcaModel
 from sigpca import vbpca
 
 
@@ -32,10 +33,19 @@ def complete(x: np.ndarray) -> MaskedMatrix:
     return MaskedMatrix.complete(np.asarray(x, dtype=np.float64))
 
 
+def frobenius_sq_masked(a: MaskedMatrix, b) -> float:
+    """Squared Frobenius distance between ``a`` and ``b`` over observed
+    entries of ``a``."""
+    b = np.asarray(b, dtype=np.float64)
+    if b.shape != a.shape:
+        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
+    flat = np.where(a.mask, a.values - b, 0.0).ravel()
+    return float(np.dot(flat, flat))
+
+
 def masked_mse(data: MaskedMatrix, approx: np.ndarray) -> float:
     """Mean squared error over the observed entries of ``data``."""
-    diff = np.where(data.mask, data.values - approx, 0.0)
-    return float((diff**2).sum() / data.observed_count())
+    return frobenius_sq_masked(data, approx) / np.count_nonzero(data.mask)
 
 
 def _random_spd(gen: np.random.Generator, k: int, scale: float) -> np.ndarray:

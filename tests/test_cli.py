@@ -41,7 +41,7 @@ class TestSynth:
         assert path.exists()
         matrix = load_matrix_csv(path)
         assert matrix.shape == (20, 8)
-        assert matrix.all_observed
+        assert matrix.mask.all()
         manifest = json.loads((path.parent / "manifest.json").read_text())
         assert len(manifest) == 1
         assert manifest[0]["data"] == path.name

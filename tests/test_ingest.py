@@ -17,14 +17,11 @@ from sigpca import (
     one_hot,
     preprocess,
     read_schema,
-    write_csv,
-    write_schema,
 )
 from sigpca.ingest import (
     center_columns,
     drop_sparse_matrix_columns,
     load_matrix_csv,
-    save_processed,
     write_matrix_csv,
 )
 
@@ -76,9 +73,17 @@ class TestColumnSchema:
 
 
 class TestSchemaFile:
-    def test_round_trip(self, tmp_path):
+    def test_levels_and_numeric_token(self, tmp_path):
         path = tmp_path / "schema.txt"
-        write_schema(MIXED_SCHEMA, path)
+        write_lines(
+            path,
+            [
+                "height continuous",
+                "color categorical red,green,blue",
+                "flag binary no,yes",
+                "grade ordinal low,mid,high numeric",
+            ],
+        )
         assert read_schema(path) == MIXED_SCHEMA
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
@@ -123,6 +128,10 @@ class TestLoadCsv:
         write_lines(path, ["height,colour", "1.0,red"])
         with pytest.raises(LoadError, match="header"):
             load_csv(path, MIXED_SCHEMA[:2])
+        # The header is checked before any data row is read.
+        write_lines(path, ["height,colour", "1.0,red", "2.0"])
+        with pytest.raises(LoadError, match="header"):
+            load_csv(path, MIXED_SCHEMA[:2])
 
     def test_cell_errors_name_row_and_column(self, tmp_path):
         path = mixed_csv(tmp_path, ["oops,red,yes,low"])
@@ -151,25 +160,24 @@ class TestLoadCsv:
         path = mixed_csv(tmp_path, ["?,red,yes,low"])
         ds = load_csv(path, MIXED_SCHEMA, missing_tokens=("", "NA", "?"))
         assert not ds.matrix.mask[0, 0]
-
-    def test_write_csv_round_trip(self, tmp_path):
-        path = mixed_csv(tmp_path, ["1.5,red,yes,low", "2.5,NA,no,high"])
-        ds = load_csv(path, MIXED_SCHEMA)
-        out = tmp_path / "out.csv"
-        write_csv(ds, out)
-        again = load_csv(out, MIXED_SCHEMA)
-        assert np.array_equal(ds.matrix.values, again.matrix.values)
-        assert np.array_equal(ds.matrix.mask, again.matrix.mask)
+        # Both ingest routes read a numeric file to the same bits.
+        path = tmp_path / "numbers.csv"
+        write_lines(path, ["a,b,c", "1.5, ,-0", "NA,2e-3,?", " 0.1 ,?,1e300"])
+        tokens = ("", "NA", "?")
+        matrix = load_matrix_csv(path, missing_tokens=tokens)
+        schema = tuple(ColumnSchema(name, "continuous") for name in "abc")
+        ds = load_csv(path, schema, missing_tokens=tokens)
+        assert np.array_equal(
+            matrix.mask, [[True, False, True], [False, True, False], [True, False, True]]
+        )
+        assert matrix.values.tobytes() == ds.matrix.values.tobytes()
+        assert np.array_equal(matrix.mask, ds.matrix.mask)
 
 
 def make_dataset(schema, values, mask=None):
     values = np.asarray(values, dtype=np.float64)
     mask = np.ones(values.shape, dtype=bool) if mask is None else np.asarray(mask)
-    return Dataset(
-        schema=tuple(schema),
-        matrix=MaskedMatrix(values, mask),
-        row_labels=tuple(str(i) for i in range(values.shape[0])),
-    )
+    return Dataset(schema=tuple(schema), matrix=MaskedMatrix(values, mask))
 
 
 class TestOneHot:
@@ -270,6 +278,21 @@ class TestDropSparseColumns:
         assert drop_sparse_columns(ds, 0.5).column_names == ("a", "b")
         assert drop_sparse_columns(ds, 0.49).column_names == ("a",)
 
+    def test_both_filters_keep_the_same_columns(self):
+        # Columns b and c miss 1 and 2 of 3 rows.  At thresholds 1/3 and
+        # 2/3 the computed missing fraction rounds above the threshold.
+        ds = make_dataset(
+            [ColumnSchema(name, "continuous") for name in "abc"],
+            np.arange(9.0).reshape(3, 3),
+            mask=[[True, True, False], [True, False, False], [True, True, True]],
+        )
+        for threshold, names in [(1 / 3, "a"), (0.5, "ab"), (2 / 3, "ab"), (1.0, "abc")]:
+            assert drop_sparse_columns(ds, threshold).column_names == tuple(names)
+            kept = drop_sparse_matrix_columns(ds.matrix, threshold)
+            keep = [ds.column_names.index(name) for name in names]
+            assert np.array_equal(kept.values, ds.matrix.values[:, keep])
+            assert np.array_equal(kept.mask, ds.matrix.mask[:, keep])
+
     def test_all_columns_dropped_is_an_error(self):
         ds = make_dataset(
             [ColumnSchema("a", "continuous")],
@@ -330,17 +353,6 @@ class TestPreprocessChain:
         out = preprocess(self.build(tmp_path))
         kinds = [step.split()[0] for step in out.provenance]
         assert kinds == ["load_csv", "drop_sparse_columns", "one_hot", "center_scale"]
-
-    def test_save_processed_writes_values_mask_and_log(self, tmp_path):
-        out = preprocess(self.build(tmp_path))
-        values_path = tmp_path / "values.csv"
-        mask_path = tmp_path / "mask.csv"
-        prov_path = tmp_path / "prov.txt"
-        save_processed(out, values_path, mask_path, prov_path)
-        assert values_path.read_text().splitlines()[0] == ",".join(out.column_names)
-        mask_rows = mask_path.read_text().splitlines()[1:]
-        assert len(mask_rows) == out.matrix.n_rows
-        assert prov_path.read_text().splitlines() == list(out.provenance)
 
 
 class TestMatrixRoute:

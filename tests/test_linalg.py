@@ -1,4 +1,5 @@
-"""Masked matrices, masked Frobenius distance, symmetric eigenvalues."""
+"""Masked matrices, the masked Frobenius distance behind the tests'
+masked error, symmetric eigenvalues."""
 
 import numpy as np
 import pytest
@@ -6,23 +7,24 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from sigpca import MaskedMatrix, NumericalError, ShapeError, frobenius_sq_masked, sym_eigvals
+from helpers import frobenius_sq_masked
+from sigpca import MaskedMatrix, NumericalError, ShapeError, sym_eigvals
 
 
 class TestMaskedMatrix:
     def test_complete_marks_everything_observed(self):
         m = MaskedMatrix.complete([[1.0, 2.0], [3.0, 4.0]])
-        assert m.all_observed
+        assert m.mask.all()
         assert m.shape == (2, 2)
-        assert m.observed_count() == 4
+        assert np.count_nonzero(m.mask) == 4
 
     def test_masked_entries_stored_as_zero(self):
         values = np.array([[1.0, np.nan], [3.0, 4.0]])
         mask = np.array([[True, False], [True, True]])
         m = MaskedMatrix(values, mask)
         assert m.values[0, 1] == 0.0
-        assert not m.all_observed
-        assert m.observed_count() == 3
+        assert not m.mask.all()
+        assert np.count_nonzero(m.mask) == 3
         assert list(m.column_observed_counts()) == [2, 1]
 
     def test_column_means_use_observed_entries_only(self):
@@ -56,6 +58,8 @@ class TestMaskedMatrix:
 
 
 class TestFrobeniusSqMasked:
+    """The distance ``helpers.masked_mse`` divides by the observed count."""
+
     def test_identical_matrices_give_zero(self):
         a = MaskedMatrix.complete([[1.0, 2.0], [3.0, 4.0]])
         assert frobenius_sq_masked(a, a.values) == 0.0

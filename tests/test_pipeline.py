@@ -199,7 +199,6 @@ def typed_table_with_missing_cells(seed: int, n: int = 150) -> Dataset:
     return Dataset(
         schema=schema,
         matrix=MaskedMatrix(np.where(mask, values, 0.0), mask),
-        row_labels=tuple(str(i) for i in range(n)),
     )
 
 
@@ -258,7 +257,6 @@ class TestSchemaRoute:
                 ColumnSchema("e", "binary", levels=("no", "yes")),
             ),
             matrix=MaskedMatrix.complete(np.column_stack([values, levels])),
-            row_labels=tuple(str(i) for i in range(n)),
         )
         result = analyze_dataset(dataset, AnalysisOptions(n_null_samples=100, seed=2))
         # One-hot expansion turns the binary column into two indicators.

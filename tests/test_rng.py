@@ -3,29 +3,21 @@
 import numpy as np
 import pytest
 
-from sigpca import ConfigError, RngStream, derive_seed, standard_normal
+from sigpca import ConfigError, RngStream, derive_seed
 
 
 def test_same_stream_same_sequence():
-    a = standard_normal(RngStream(7, 3), 100)
-    b = standard_normal(RngStream(7, 3), 100)
+    a = RngStream(7, 3).generator().standard_normal(100)
+    b = RngStream(7, 3).generator().standard_normal(100)
     assert np.array_equal(a, b)
 
 
 def test_distinct_streams_differ():
-    a = standard_normal(RngStream(7, 0), 100)
-    b = standard_normal(RngStream(7, 1), 100)
-    c = standard_normal(RngStream(8, 0), 100)
+    a = RngStream(7, 0).generator().standard_normal(100)
+    b = RngStream(7, 1).generator().standard_normal(100)
+    c = RngStream(8, 0).generator().standard_normal(100)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-def test_split_names_sibling_stream():
-    root = RngStream(7)
-    assert root.split(5) == RngStream(7, 5)
-    assert np.array_equal(
-        standard_normal(root.split(5), 10), standard_normal(RngStream(7, 5), 10)
-    )
 
 
 def test_generator_restarts_at_stream_origin():
@@ -33,12 +25,6 @@ def test_generator_restarts_at_stream_origin():
     first = stream.generator().standard_normal(5)
     again = stream.generator().standard_normal(5)
     assert np.array_equal(first, again)
-
-
-def test_draw_count_validation():
-    assert standard_normal(RngStream(0), 0).shape == (0,)
-    with pytest.raises(ConfigError):
-        standard_normal(RngStream(0), -1)
 
 
 @pytest.mark.parametrize("bad", [-1, 2**64, 1.5, "7"])
@@ -53,7 +39,7 @@ def test_extreme_valid_seeds():
 
 
 def test_large_sample_moments():
-    draws = standard_normal(RngStream(123), 1_000_000)
+    draws = RngStream(123).generator().standard_normal(1_000_000)
     assert -0.005 <= draws.mean() <= 0.005
     assert 0.99 <= draws.var() <= 1.01
 
@@ -76,8 +62,8 @@ def test_derive_seed_deterministic_and_distinct():
 def test_derive_seed_child_independent_of_parent_streams():
     child = derive_seed(42, 0)
     assert child != 42
-    parent_draws = standard_normal(RngStream(42, 0), 50)
-    child_draws = standard_normal(RngStream(child, 0), 50)
+    parent_draws = RngStream(42, 0).generator().standard_normal(50)
+    child_draws = RngStream(child, 0).generator().standard_normal(50)
     assert not np.array_equal(parent_draws, child_draws)
 
 

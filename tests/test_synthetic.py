@@ -76,7 +76,7 @@ class TestFactorStructure:
         spec = SyntheticSpec(n_rows=12, n_cols=8, n_significant=2, seed=5)
         a = generate(spec)
         b = generate(spec)
-        assert a.all_observed
+        assert a.mask.all()
         assert np.array_equal(a.values, b.values)
         c = generate(SyntheticSpec(n_rows=12, n_cols=8, n_significant=2, seed=6))
         assert not np.array_equal(a.values, c.values)
