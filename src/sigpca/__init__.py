@@ -46,7 +46,6 @@ from .pipeline import (
 )
 from .rng import RngStream, derive_seed
 from .significance import (
-    NullSpectra,
     SigTestConfig,
     Spectrum,
     SpectrumTestResult,
@@ -54,7 +53,6 @@ from .significance import (
     holm_bonferroni,
     normalized_eigenvalues,
     reconstruction_spectrum,
-    sample_null_spectra,
     sample_rank_null_spectra,
 )
 from .synthetic import SyntheticSpec, draw_factors, generate, scenario_grid
@@ -78,7 +76,6 @@ __all__ = [
     "Dataset",
     "LoadError",
     "MaskedMatrix",
-    "NullSpectra",
     "NumericalError",
     "Reconstruction",
     "RngStream",
@@ -114,7 +111,6 @@ __all__ = [
     "reconstruction_spectrum",
     "report_to_json",
     "run_validation",
-    "sample_null_spectra",
     "sample_rank_null_spectra",
     "scenario_grid",
     "select_n_components",

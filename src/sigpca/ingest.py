@@ -245,10 +245,13 @@ def write_matrix_csv(matrix: MaskedMatrix, path, missing_token: str = "NA") -> N
 
 def _dense_columns(matrix: MaskedMatrix, threshold: float) -> np.ndarray:
     """Keep-mask of the columns whose missing fraction is at most
-    ``threshold``; shared by both sparse-column filters."""
+    ``threshold``; shared by both sparse-column filters.  The fraction is
+    one rounding of the exact missing count, so a column missing k of n
+    rows stays at the threshold k / n."""
     if not 0.0 <= threshold <= 1.0:
         raise ConfigError(f"threshold must be in [0, 1], got {threshold}")
-    keep = 1.0 - matrix.column_observed_counts() / matrix.n_rows <= threshold
+    missing = matrix.n_rows - matrix.column_observed_counts()
+    keep = missing / matrix.n_rows <= threshold
     if not np.any(keep):
         raise DataError("every column exceeds the missing-fraction threshold")
     return keep

@@ -25,12 +25,11 @@ rank: once the draws made so far decide that testing stops at an earlier
 rank, the later ranks' nulls are retired, so the cost of the null stage
 follows the ranks tested, not the ranks kept.
 
-Against unpaired null spectra the raw value at a rank is an exceedance
-p-value.  In the paired mode it is a posterior predictive probability,
-the chance that removing the component does not lower the rank's
-normalised value; it is not a p-value under a null hypothesis, so the
-Holm step there guards against testing many ranks but carries no
-familywise error guarantee.
+The raw value at a rank is a posterior predictive probability, the
+chance that removing the component does not lower the rank's normalised
+value; it is not a p-value under a null hypothesis, so the Holm step
+guards against testing many ranks but carries no familywise error
+guarantee.
 """
 
 from __future__ import annotations
@@ -175,63 +174,44 @@ class SigTestConfig:
         RngStream(self.seed)  # validates the seed range
 
 
-@dataclass(frozen=True)
-class NullSpectra:
-    """Sampled spectra stacked row-wise: (n_samples, q) eigenvalue and
-    normalised-value arrays, rows in sample order.  For per-rank nulls
-    (see ``sample_rank_null_spectra``) column r of row k comes from the
-    draw k made for rank r, so a row need not be one descending
-    spectrum, and its values agree with the spectrum of the perturbed
-    matrix built directly to rounding, not bit for bit.  A rank whose
-    null was retired before every draw was made has an all-NaN column in
-    both arrays; a column is never partly drawn."""
-
-    eigenvalues: np.ndarray
-    normalized: np.ndarray
-
-    def __post_init__(self) -> None:
-        lam = np.asarray(self.eigenvalues, dtype=np.float64)
-        norm = np.asarray(self.normalized, dtype=np.float64)
-        if lam.ndim != 2 or lam.shape != norm.shape or lam.shape[0] < 1:
-            raise ShapeError("null spectra must be matching nonempty 2-D arrays")
-        object.__setattr__(self, "eigenvalues", lam)
-        object.__setattr__(self, "normalized", norm)
-
-    @property
-    def n_samples(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    @property
-    def n_ranks(self) -> int:
-        return self.eigenvalues.shape[1]
-
-
-def _sample_spectra(
+def sample_rank_null_spectra(
     recon: Reconstruction,
-    q: int,
+    spectrum: Spectrum,
     config: SigTestConfig,
-    energy_floor: float,
-    n_removed: int,
-) -> tuple[NullSpectra, NullSpectra]:
-    """Posterior spectra and, for the ranks r < ``n_removed``, the spectra
-    of the same draws around the best rank-r approximation of the mean
-    (see ``sample_rank_null_spectra``).
+    energy_floor: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior spectra paired draw by draw with per-rank null spectra.
 
-    Draws run one after another on the calling thread.  Each draw forms
-    the Gram matrix of the perturbed mean and the null Gram matrices of
-    its live ranks in one reused stack and takes their eigenvalues in one
-    ``sym_eigvals`` call.  The null Gram matrices are not products of
-    perturbed matrices: each is the draw's noise Gram plus the rank's
-    symmetrised cross term plus its fixed base Gram (the algebra is
-    spelled out below), exactly symmetric and equal to the direct product
-    up to rounding.  A rank's null stays live while the step-down of
-    ``count_significant`` (at ``config.alpha``) can still test it: once
-    the running exceedance count of a live rank r already puts its Holm
-    value at or above alpha, the counts can only grow, so testing ends at
-    r or before, and the nulls of the ranks after r are retired.  Their
-    columns come back all NaN.
+    Returns two read-only (n_samples, q) arrays of normalised values,
+    q = ``spectrum.n_ranks``.  Row k of the first is the spectrum of the
+    reconstruction mean perturbed entrywise by normal noise scaled by
+    ``sqrt(recon.var)``, drawn from the stream (seed, k), so a run with
+    more samples extends a run with fewer.  Column r (0-based) of row k
+    of the second is rank r of the spectrum of the same perturbation
+    added to the best rank-r approximation of the mean: the draw had the
+    mean no component at ranks r and beyond.  Ranks at which ``spectrum``
+    is zero have nothing to remove; their columns equal the posterior's.
+    ``energy_floor`` must match the floor used for ``spectrum``.  Analyses
+    pass the posterior predictive (``recon.var`` plus the noise variance),
+    so that a component is judged against the noise in the data.
+
+    Each draw takes the eigenvalues of the posterior Gram matrix and of
+    its live ranks' null Gram matrices in one ``sym_eigvals`` call.  The
+    posterior Gram is formed directly, so posterior values are exact; each
+    null Gram is the draw's noise Gram plus the rank's symmetrised cross
+    term plus its fixed base Gram (see below), equal to the direct product
+    up to rounding (relative 1e-12 or better in the tests).
+
+    A kept rank's null is drawn only while the step-down test of
+    ``count_significant`` at ``config.alpha`` can still reach it: once a
+    live rank's running exceedance count puts its Holm value at or above
+    alpha, the counts can only grow, so testing ends there or before and
+    the later ranks' nulls are retired, their columns all NaN.  Retiring
+    changes no drawn column, so that test reports at the same alpha what
+    it would on every rank drawn in full.
     """
     mean = recon.mean
+    q = spectrum.n_ranks
     if mean.ndim != 2:
         raise ShapeError("reconstruction mean must be 2-D")
     if not 2 <= q <= min(mean.shape):
@@ -240,6 +220,7 @@ def _sample_spectra(
         )
     if energy_floor < 0.0 or not np.isfinite(energy_floor):
         raise ConfigError(f"energy_floor must be finite and >= 0, got {energy_floor}")
+    n_removed = int(np.count_nonzero(spectrum.eigenvalues))
     std = np.sqrt(recon.var)
     # Null Grams are built in the frame x whose x'x is the side _gram
     # takes: the mean when it has more rows than columns, else its
@@ -258,10 +239,8 @@ def _sample_spectra(
         left = left[: n_removed - 1]
         right = right[: n_removed - 1] * s[: n_removed - 1, None]
     n_samples = config.n_null_samples
-    eigenvalues = np.empty((n_samples, q))
-    normalized = np.empty((n_samples, q))
-    null_eigenvalues = np.empty((n_samples, q))
-    null_normalized = np.empty((n_samples, q))
+    posterior = np.empty((n_samples, q))
+    null = np.empty((n_samples, q))
     noise = np.empty(mean.shape)
     perturbed = np.empty(mean.shape)
     e = noise.T if flip else noise
@@ -270,7 +249,6 @@ def _sample_spectra(
     cross = np.empty((side, side))
     # Row 1 + r of a draw's spectra belongs to the null of rank r; the
     # nulls of ranks [0, n_live) are drawn.
-    removed = np.arange(n_removed)
     exceed = np.zeros(n_removed, dtype=np.int64)
     n_live = n_removed
     for k in range(n_samples):
@@ -289,88 +267,22 @@ def _sample_spectra(
                 grams[1 + r] += base_grams[r]
         lam = _rank_cutoff(sym_eigvals(grams[: 1 + n_live])[:, :q], energy_floor)
         norm = _normalize_rows(lam)
-        eigenvalues[k] = null_eigenvalues[k] = lam[0]
-        normalized[k] = null_normalized[k] = norm[0]
-        live = removed[:n_live]
-        null_eigenvalues[k, :n_live] = lam[1 + live, live]
-        null_normalized[k, :n_live] = norm[1 + live, live]
+        posterior[k] = null[k] = norm[0]
+        null[k, :n_live] = norm[1:].diagonal()
         # The paired exceedance rule of count_significant.  Its Holm values
         # on the counts so far can only grow, so the first one at or above
         # alpha marks a rank the step-down cannot pass.
-        hits = null_normalized[k, :n_live] >= normalized[k, :n_live]
+        hits = null[k, :n_live] >= posterior[k, :n_live]
         if hits.any():
             exceed[:n_live] += hits
             adjusted = holm_bonferroni(exceed[:n_live] / n_samples, q)
             stops = np.flatnonzero(adjusted >= config.alpha)
             if stops.size:
                 n_live = int(stops[0]) + 1
-    null_eigenvalues[:, n_live:n_removed] = np.nan
-    null_normalized[:, n_live:n_removed] = np.nan
-    for arr in (eigenvalues, normalized, null_eigenvalues, null_normalized):
-        arr.flags.writeable = False
-    return (
-        NullSpectra(eigenvalues=eigenvalues, normalized=normalized),
-        NullSpectra(eigenvalues=null_eigenvalues, normalized=null_normalized),
-    )
-
-
-def sample_null_spectra(
-    recon: Reconstruction,
-    q: int,
-    config: SigTestConfig,
-    energy_floor: float = 0.0,
-) -> NullSpectra:
-    """Draw spectra from the elementwise posterior.
-
-    Sample k perturbs every entry of the reconstruction mean with an
-    independent normal draw scaled by the posterior standard deviation at
-    that entry, using the dedicated stream (seed, k), so a run with more
-    samples extends a run with fewer.  ``energy_floor`` must match the
-    floor used for the observed spectrum; with an identically zero
-    posterior variance every sampled spectrum then equals the observed
-    one exactly.
-    """
-    return _sample_spectra(recon, q, config, energy_floor, 0)[0]
-
-
-def sample_rank_null_spectra(
-    recon: Reconstruction,
-    spectrum: Spectrum,
-    config: SigTestConfig,
-    energy_floor: float = 0.0,
-) -> tuple[NullSpectra, NullSpectra]:
-    """Posterior spectra paired draw by draw with per-rank null spectra.
-
-    The first result equals ``sample_null_spectra(recon,
-    spectrum.n_ranks, config, energy_floor)``.  In the second,
-    column r (0-based) of row k holds rank r of the spectrum of the same
-    perturbation k added to the best rank-r approximation of the
-    reconstruction mean instead of the mean itself: the draw that would
-    have been made had the mean no component at ranks r and beyond.  Its
-    Gram matrix is assembled from shared products of the perturbation
-    (see ``_sample_spectra``), so null values agree with those of the
-    perturbed matrix built directly up to rounding (relative 1e-12 or
-    better in the tests), while the posterior spectra are bit for bit
-    those of ``sample_null_spectra``.  Ranks at which ``spectrum`` is
-    zero have no component left to remove, and their columns equal those
-    of the posterior spectra.
-    Analyses pass the posterior predictive (``recon.var`` plus the noise
-    variance), so that a component is judged against the noise in the
-    data and not only against the uncertainty of the reconstruction.
-
-    A kept rank's null is drawn only while the step-down test of
-    ``count_significant`` at ``config.alpha`` can still reach the rank:
-    once the draws so far decide that testing ends at an earlier rank,
-    the rank's null is retired and its column comes back all NaN.
-    Retiring changes no drawn column, so every p-value and count that
-    test reports at the same alpha is that of drawing every rank in full
-    (it could differ from that of the directly built matrices only where
-    a null value lies within rounding of its posterior value); the cost
-    of the null stage scales with the ranks tested rather than the ranks
-    kept.
-    """
-    n_components = int(np.count_nonzero(spectrum.eigenvalues))
-    return _sample_spectra(recon, spectrum.n_ranks, config, energy_floor, n_components)
+    null[:, n_live:n_removed] = np.nan
+    posterior.flags.writeable = False
+    null.flags.writeable = False
+    return posterior, null
 
 
 def holm_bonferroni(raw_p, m: int) -> np.ndarray:
@@ -415,61 +327,53 @@ class SpectrumTestResult:
 
 def count_significant(
     spectrum: Spectrum,
-    null: NullSpectra,
+    null: np.ndarray,
     config: SigTestConfig,
-    posterior: NullSpectra | None = None,
+    posterior: np.ndarray,
 ) -> SpectrumTestResult:
-    """Sequentially test ranks against the null spectra.
+    """Sequentially test ranks against per-rank null spectra.
 
-    The raw p-value at rank r is the fraction of null samples whose
-    normalised value strictly exceeds the observed one (ties count as
-    non-exceedances).  Given ``posterior`` spectra paired row by row with
-    the null (see ``sample_rank_null_spectra``), it is instead the
-    fraction of draws whose null value at rank r reaches the posterior
-    value; a rank whose null draws equal the posterior ones then gets a
-    raw p of 1.  That paired value does not look at the observed
-    statistic and is a posterior probability, not a p-value under a null
-    hypothesis.  Ranks are tested from the top; after Holm adjustment
-    sized to the full spectrum, testing stops at the first rank that is
-    not significant.  Reaching a rank whose null column is not fully
-    drawn (a retired null, which only a larger alpha than the sampler's
-    can reach) raises ``ConfigError``.
+    ``posterior`` and ``null`` are the paired (n_samples, q) arrays of
+    ``sample_rank_null_spectra``.  The raw value at rank r is the fraction
+    of draws whose null value at rank r reaches the posterior value; a
+    rank whose null draws equal the posterior ones gets a raw value of 1.
+    Ranks are tested from the top; after Holm adjustment sized to the full
+    spectrum, testing stops at the first rank that is not significant.
+    Reaching a rank whose null column is not fully drawn (a retired null,
+    which only a larger alpha than the sampler's can reach) raises
+    ``ConfigError``.
     """
     q = spectrum.n_ranks
     if q < 2:
         raise ConfigError(f"spectrum must have at least 2 ranks, got {q}")
-    if null.n_ranks != q:
-        raise ShapeError(
-            f"null spectra have {null.n_ranks} ranks, spectrum has {q}"
-        )
-    if posterior is not None and posterior.normalized.shape != null.normalized.shape:
+    if null.ndim != 2 or null.shape[1] != q or null.shape[0] < 1:
+        raise ShapeError(f"null spectra of shape {null.shape} do not fit {q} ranks")
+    if posterior.shape != null.shape:
         raise ShapeError("posterior spectra must pair row by row with the null spectra")
-    n_null = null.n_samples
-    raw: list[float] = []
-    adjusted = np.empty(0)
-    for r in range(q):
-        if np.isnan(null.normalized[:, r]).any():
-            raise ConfigError(
-                f"the step-down reached rank {r + 1}, whose null was not drawn in "
-                f"full; sample the nulls at alpha >= {config.alpha}"
-            )
-        if posterior is None:
-            exceed = np.count_nonzero(null.normalized[:, r] > spectrum.normalized[r])
-        else:
-            exceed = np.count_nonzero(null.normalized[:, r] >= posterior.normalized[:, r])
-        raw.append(int(exceed) / n_null)
-        adjusted = holm_bonferroni(np.asarray(raw), m=q)
-        if adjusted[-1] >= config.alpha:
-            break
+    n_null = null.shape[0]
+    # The Holm values of a prefix of the ranks are the prefix of the Holm
+    # values of all ranks, so every rank is adjusted at once and the result
+    # cut after the first rank that is not significant.
+    raw = np.count_nonzero(null >= posterior, axis=0) / n_null
+    adjusted = holm_bonferroni(raw, m=q)
+    stops = np.flatnonzero(adjusted >= config.alpha)
+    n_tested = int(stops[0]) + 1 if stops.size else q
+    retired = np.flatnonzero(np.isnan(null[:, :n_tested]).any(axis=0))
+    if retired.size:
+        raise ConfigError(
+            f"the step-down reached rank {retired[0] + 1}, whose null was not drawn "
+            f"in full; sample the nulls at alpha >= {config.alpha}"
+        )
+    raw = raw[:n_tested]
+    adjusted = adjusted[:n_tested]
     n_significant = int(np.count_nonzero(adjusted < config.alpha))
-    quantiles = np.percentile(null.normalized, _QUANTILES, axis=0).T
-    raw_arr = np.asarray(raw)
-    raw_arr.flags.writeable = False
+    quantiles = np.percentile(null, _QUANTILES, axis=0).T
+    raw.flags.writeable = False
     adjusted.flags.writeable = False
     quantiles.flags.writeable = False
     return SpectrumTestResult(
         spectrum=spectrum,
-        raw_p=raw_arr,
+        raw_p=raw,
         adjusted_p=adjusted,
         n_significant=n_significant,
         null_quantiles=quantiles,

@@ -78,7 +78,7 @@ _TINY = 1e-300
 _ABS_SCALE_FLOOR = 1e-30
 
 # Default cap on the component count of an analysis's fit.
-DEFAULT_SCAN_CAP = 60
+DEFAULT_Q_CAP = 60
 
 
 @dataclass(frozen=True)
@@ -483,11 +483,11 @@ def select_n_components(
     No separate count selection is needed: the per-component prior
     variances withdraw the components the data do not support, so a fit
     at a larger count keeps the supported ones and prunes the rest.  The
-    count is ``q_max`` if given, else min(n - 1, p - 1, DEFAULT_SCAN_CAP):
+    count is ``q_max`` if given, else min(n - 1, p - 1, DEFAULT_Q_CAP):
     one dimension is left to the noise model.  ``config.n_components``
     is ignored; the other settings are used as given.
     """
     n, p = data.shape
     if q_max is None:
-        q_max = min(n - 1, p - 1, DEFAULT_SCAN_CAP)
+        q_max = min(n - 1, p - 1, DEFAULT_Q_CAP)
     return fit(data, replace(config, n_components=q_max))

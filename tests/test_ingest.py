@@ -279,19 +279,30 @@ class TestDropSparseColumns:
         assert drop_sparse_columns(ds, 0.49).column_names == ("a",)
 
     def test_both_filters_keep_the_same_columns(self):
-        # Columns b and c miss 1 and 2 of 3 rows.  At thresholds 1/3 and
-        # 2/3 the computed missing fraction rounds above the threshold.
+        # Columns b and c miss 1 and 2 of 3 rows; a column whose missing
+        # fraction equals the threshold stays.
         ds = make_dataset(
             [ColumnSchema(name, "continuous") for name in "abc"],
             np.arange(9.0).reshape(3, 3),
             mask=[[True, True, False], [True, False, False], [True, True, True]],
         )
-        for threshold, names in [(1 / 3, "a"), (0.5, "ab"), (2 / 3, "ab"), (1.0, "abc")]:
+        for threshold, names in [(1 / 3, "ab"), (0.5, "ab"), (2 / 3, "abc"), (1.0, "abc")]:
             assert drop_sparse_columns(ds, threshold).column_names == tuple(names)
             kept = drop_sparse_matrix_columns(ds.matrix, threshold)
             keep = [ds.column_names.index(name) for name in names]
             assert np.array_equal(kept.values, ds.matrix.values[:, keep])
             assert np.array_equal(kept.mask, ds.matrix.mask[:, keep])
+
+    def test_missing_fraction_at_the_threshold_is_kept(self):
+        # Column k of an n-row matrix misses k rows.  At threshold k / n
+        # exactly the columns 0..k stay, for every k and n.
+        for n in range(1, 61):
+            mask = np.arange(n)[:, None] >= np.arange(n + 1)[None, :]
+            matrix = MaskedMatrix(np.zeros((n, n + 1)), mask)
+            for k in range(n + 1):
+                kept = drop_sparse_matrix_columns(matrix, k / n)
+                assert kept.n_cols == k + 1
+                assert np.array_equal(kept.mask, mask[:, : k + 1])
 
     def test_all_columns_dropped_is_an_error(self):
         ds = make_dataset(

@@ -15,7 +15,6 @@ from helpers import (
 )
 from sigpca import (
     ConfigError,
-    NullSpectra,
     Reconstruction,
     ShapeError,
     SigTestConfig,
@@ -27,7 +26,6 @@ from sigpca import (
     normalized_eigenvalues,
     reconstruct,
     reconstruction_spectrum,
-    sample_null_spectra,
     sample_rank_null_spectra,
 )
 from sigpca import significance
@@ -154,42 +152,57 @@ class TestReconstructionSpectrum:
 
 
 class TestSampleNullSpectra:
+    """The posterior half of ``sample_rank_null_spectra``."""
+
     def make_recon(self, seed=24, n=10, p=6):
         gen = np.random.default_rng(seed)
         mean = gen.standard_normal((n, p))
         var = gen.uniform(0.1, 0.5, size=(n, p))
         return Reconstruction(mean=mean, var=var)
 
+    def posterior(self, recon, q, config, energy_floor=0.0):
+        spectrum = reconstruction_spectrum(recon.mean, q=q, energy_floor=energy_floor)
+        return sample_rank_null_spectra(recon, spectrum, config, energy_floor)[0]
+
     def test_zero_variance_null_equals_observed_spectrum_exactly(self):
         recon = Reconstruction(mean=self.make_recon().mean, var=np.zeros((10, 6)))
         observed = reconstruction_spectrum(recon.mean, q=4)
-        null = sample_null_spectra(recon, q=4, config=SigTestConfig(n_null_samples=100))
-        assert null.n_samples == 100 and null.n_ranks == 4
+        posterior = self.posterior(recon, 4, SigTestConfig(n_null_samples=100))
+        assert posterior.shape == (100, 4)
         for row in range(100):
-            assert np.array_equal(null.eigenvalues[row], observed.eigenvalues)
-            assert np.array_equal(null.normalized[row], observed.normalized)
+            assert np.array_equal(posterior[row], observed.normalized)
 
     def test_each_sample_owns_a_stream_so_prefixes_agree(self):
         recon = self.make_recon()
-        small = sample_null_spectra(recon, q=4, config=SigTestConfig(n_null_samples=100, seed=5))
-        large = sample_null_spectra(recon, q=4, config=SigTestConfig(n_null_samples=150, seed=5))
-        assert np.array_equal(small.eigenvalues, large.eigenvalues[:100])
+        small = self.posterior(recon, 4, SigTestConfig(n_null_samples=100, seed=5))
+        large = self.posterior(recon, 4, SigTestConfig(n_null_samples=150, seed=5))
+        assert np.array_equal(small, large[:100])
 
     def test_rows_are_valid_descending_spectra(self):
-        null = sample_null_spectra(
-            self.make_recon(), q=5, config=SigTestConfig(n_null_samples=100)
-        )
-        assert np.all(null.eigenvalues >= 0.0)
-        assert np.all(np.diff(null.eigenvalues, axis=1) <= 0.0)
+        posterior = self.posterior(self.make_recon(), 5, SigTestConfig(n_null_samples=100))
+        # Invert the normalisation: with the tail sum at rank 0 set to 1,
+        # a_r = l_r / (l_r + ... + l_{q-2}) gives l_r = a_r * (1 - a_0) * ...
+        # * (1 - a_{r-1}) for r < q - 1.
+        q = posterior.shape[1]
+        assert np.all(posterior[:, -1] == 0.0)
+        shares = posterior[:, :-1] / (q - 1 - np.arange(q - 1))
+        assert np.all((shares >= 0.0) & (shares <= 1.0 + 1e-12))
+        tails = np.cumprod(np.hstack([np.ones((100, 1)), 1.0 - shares[:, :-1]]), axis=1)
+        lam = shares * tails
+        assert np.all(lam >= 0.0)
+        assert np.all(np.diff(lam, axis=1) <= 1e-12 * lam[:, :1])
 
     def test_validation(self):
         recon = self.make_recon()
         with pytest.raises(ConfigError):
-            sample_null_spectra(recon, q=1, config=SigTestConfig())
+            sample_rank_null_spectra(recon, Spectrum.from_eigenvalues([1.0]), SigTestConfig())
         with pytest.raises(ConfigError):
-            sample_null_spectra(recon, q=7, config=SigTestConfig())
+            sample_rank_null_spectra(recon, Spectrum.from_eigenvalues(np.ones(7)), SigTestConfig())
         with pytest.raises(ConfigError):
-            sample_null_spectra(recon, q=3, config=SigTestConfig(), energy_floor=float("nan"))
+            sample_rank_null_spectra(
+                recon, Spectrum.from_eigenvalues(np.ones(3)), SigTestConfig(),
+                energy_floor=float("nan"),
+            )
         with pytest.raises(ConfigError):
             SigTestConfig(n_null_samples=99)
         with pytest.raises(ConfigError):
@@ -202,12 +215,12 @@ class TestSampleNullSpectra:
         mean = np.zeros((20, 20))
         var = np.ones((20, 20))
         q, n_samples = 10, 2000
-        null = sample_null_spectra(
+        posterior = self.posterior(
             Reconstruction(mean=mean, var=var),
-            q=q,
-            config=SigTestConfig(n_null_samples=n_samples, seed=7),
+            q,
+            SigTestConfig(n_null_samples=n_samples, seed=7),
         )
-        package_median = float(np.median(null.normalized[:, 0]))
+        package_median = float(np.median(posterior[:, 0]))
         resim = np.empty(n_samples)
         for k in range(n_samples):
             draw = gen.standard_normal((20, 20))
@@ -222,24 +235,23 @@ class TestSampleRankNullSpectra:
         mean = rank_k_matrix(12, 7, 2, seed=33)
         return Reconstruction(mean=mean, var=gen.uniform(0.005, 0.015, size=(12, 7)))
 
-    def test_posterior_half_equals_sample_null_spectra(self):
+    def test_nulls_lower_only_the_kept_ranks(self):
         recon = self.make_recon()
         spectrum = reconstruction_spectrum(recon.mean, q=5)
         cfg = SigTestConfig(n_null_samples=100, seed=4)
         posterior, null = sample_rank_null_spectra(recon, spectrum, cfg)
-        plain = sample_null_spectra(recon, q=5, config=cfg)
-        assert np.array_equal(posterior.eigenvalues, plain.eigenvalues)
-        assert np.array_equal(posterior.normalized, plain.normalized)
+        assert not posterior.flags.writeable and not null.flags.writeable
+        assert np.array_equal(posterior, full_draw_reference(recon, 5, 2, cfg)[0])
         # The mean has two components; past them nothing is removed.
-        assert np.array_equal(null.normalized[:, 2:], posterior.normalized[:, 2:])
-        assert np.all(null.normalized[:, :2] < posterior.normalized[:, :2])
+        assert np.array_equal(null[:, 2:], posterior[:, 2:])
+        assert np.all(null[:, :2] < posterior[:, :2])
 
     def test_zero_variance_nulls_lack_exactly_the_tested_component(self):
         recon = Reconstruction(mean=self.make_recon().mean, var=np.zeros((12, 7)))
         spectrum = reconstruction_spectrum(recon.mean, q=5)
         cfg = SigTestConfig(n_null_samples=100)
         posterior, null = sample_rank_null_spectra(recon, spectrum, cfg)
-        assert np.array_equal(null.eigenvalues[:, :2], np.zeros((100, 2)))
+        assert np.array_equal(null[:, :2], np.zeros((100, 2)))
         result = count_significant(spectrum, null, cfg, posterior)
         assert result.n_significant == 2
         assert np.array_equal(result.raw_p, [0.0, 0.0, 1.0])
@@ -259,14 +271,12 @@ class TestSampleRankNullSpectra:
         cfg = SigTestConfig(n_null_samples=100, seed=6)
         posterior, null = sample_rank_null_spectra(recon, spectrum, cfg, energy_floor)
         expected_post, expected_null = full_draw_reference(recon, q, k, cfg, energy_floor)
-        assert np.array_equal(posterior.eigenvalues, expected_post.eigenvalues)
-        assert np.array_equal(posterior.normalized, expected_post.normalized)
+        assert np.array_equal(posterior, expected_post)
         retired = retired_ranks(null)
         drawn = ~retired
         # The nulls are assembled from shared products and match the
         # direct computation to rounding.
-        assert_nulls_match(null.eigenvalues[:, drawn], expected_null.eigenvalues[:, drawn])
-        assert_nulls_match(null.normalized[:, drawn], expected_null.normalized[:, drawn])
+        assert_nulls_match(null[:, drawn], expected_null[:, drawn])
         # Retired nulls are kept ranks past the last rank the test reaches.
         n_tested = count_significant(spectrum, null, cfg, posterior).raw_p.size
         assert np.count_nonzero(retired) == n_retired
@@ -285,34 +295,27 @@ def assert_nulls_match(actual, expected, exact=False):
 
 
 def full_draw_reference(recon, q, k, cfg, energy_floor=0.0):
-    """Posterior and per-rank null spectra with every rank drawn in every
-    draw, one perturbed matrix at a time."""
+    """Posterior and per-rank null normalised values with every rank drawn
+    in every draw, one perturbed matrix at a time."""
     n, p = recon.mean.shape
     u, s, vt = np.linalg.svd(recon.mean, full_matrices=False)
     bases = [(u[:, :r] * s[:r]) @ vt[:r] for r in range(k)]
     shape = (cfg.n_null_samples, q)
-    post_lam, post_norm = np.empty(shape), np.empty(shape)
-    null_lam, null_norm = np.empty(shape), np.empty(shape)
+    posterior, null = np.empty(shape), np.empty(shape)
     for row in range(cfg.n_null_samples):
         gen_k = RngStream(cfg.seed, row).generator()
         noise = np.sqrt(recon.var) * gen_k.standard_normal((n, p))
         lam = _top_eigenvalues(recon.mean + noise, q, energy_floor)
-        post_lam[row] = null_lam[row] = lam
-        post_norm[row] = null_norm[row] = normalized_eigenvalues(lam)
+        posterior[row] = null[row] = normalized_eigenvalues(lam)
         for r, base in enumerate(bases):
             lam_r = _top_eigenvalues(base + noise, q, energy_floor)
-            null_lam[row, r] = lam_r[r]
-            null_norm[row, r] = normalized_eigenvalues(lam_r)[r]
-    return (
-        NullSpectra(eigenvalues=post_lam, normalized=post_norm),
-        NullSpectra(eigenvalues=null_lam, normalized=null_norm),
-    )
+            null[row, r] = normalized_eigenvalues(lam_r)[r]
+    return posterior, null
 
 
-def retired_ranks(null: NullSpectra) -> np.ndarray:
+def retired_ranks(null: np.ndarray) -> np.ndarray:
     """Ranks whose null column holds no draw; a column is never partly drawn."""
-    missing = np.isnan(null.normalized)
-    assert np.array_equal(missing, np.isnan(null.eigenvalues))
+    missing = np.isnan(null)
     retired = missing.all(axis=0)
     assert np.array_equal(missing.any(axis=0), retired)
     return retired
@@ -381,7 +384,7 @@ class TestNullRetirement:
         k, q = len(singular_values), min(n, p) - 1
         cfg = SigTestConfig(n_null_samples=100, seed=3)
         full = full_draw_reference(recon, q, k, cfg)
-        exceed = np.count_nonzero(full[1].normalized >= full[0].normalized, axis=0)
+        exceed = np.count_nonzero(full[1] >= full[0], axis=0)
         holm = stepdown_adjust_reference(exceed / cfg.n_null_samples, q)
         boundaries = sorted({float(h) for h in holm if 0.0 < h < 1.0})
         assert len(boundaries) >= 2
@@ -399,8 +402,8 @@ class TestNullRetirement:
         posterior, null = sample_rank_null_spectra(recon, spectrum, cfg)
         result = count_significant(spectrum, null, cfg, posterior)
         ref_post, ref_null = full or full_draw_reference(recon, q, k, cfg)
-        assert np.array_equal(posterior.normalized, ref_post.normalized)
-        exceed = np.count_nonzero(ref_null.normalized >= ref_post.normalized, axis=0)
+        assert np.array_equal(posterior, ref_post)
+        exceed = np.count_nonzero(ref_null >= ref_post, axis=0)
         raw, adjusted = [], np.empty(0)
         for r in range(q):
             raw.append(int(exceed[r]) / cfg.n_null_samples)
@@ -414,11 +417,10 @@ class TestNullRetirement:
         retired = retired_ranks(null)
         drawn = ~retired
         assert np.all(np.flatnonzero(retired) >= len(raw))
-        ref_quantiles = np.percentile(ref_null.normalized, (5.0, 50.0, 95.0), axis=0).T
+        ref_quantiles = np.percentile(ref_null, (5.0, 50.0, 95.0), axis=0).T
         # Without noise there is no rounding to differ by.
         exact = not np.any(recon.var)
-        assert_nulls_match(null.eigenvalues[:, drawn], ref_null.eigenvalues[:, drawn], exact)
-        assert_nulls_match(null.normalized[:, drawn], ref_null.normalized[:, drawn], exact)
+        assert_nulls_match(null[:, drawn], ref_null[:, drawn], exact)
         assert_nulls_match(result.null_quantiles[drawn], ref_quantiles[drawn], exact)
         assert np.array_equal(
             np.isnan(result.null_quantiles), np.repeat(retired[:, None], 3, axis=1)
@@ -441,9 +443,6 @@ class TestNullRetirement:
         # A smaller alpha stops no later and never needs a retired rank.
         stricter = SigTestConfig(n_null_samples=100, alpha=0.01, seed=3)
         assert np.array_equal(count_significant(spectrum, null, stricter, posterior).raw_p, [0.0, 0.01])
-        # Unpaired testing that reaches a retired column is refused too.
-        with pytest.raises(ConfigError, match="not drawn in full"):
-            count_significant(Spectrum(spectrum.eigenvalues, np.full(8, 1e9)), null, cfg)
 
 
 class TestSharedNoiseGram:
@@ -538,10 +537,8 @@ class TestHolmBonferroni:
             holm_bonferroni(np.zeros((2, 2)), m=4)
 
 
-def constant_null(rows: np.ndarray, n_samples: int = 200) -> NullSpectra:
-    normalized = np.tile(rows, (n_samples, 1))
-    eigenvalues = np.tile(np.linspace(rows.size, 1, rows.size), (n_samples, 1))
-    return NullSpectra(eigenvalues=eigenvalues, normalized=normalized)
+def constant_null(rows: np.ndarray, n_samples: int = 200) -> np.ndarray:
+    return np.tile(rows, (n_samples, 1))
 
 
 class TestCountSignificant:
@@ -549,8 +546,9 @@ class TestCountSignificant:
         observed = Spectrum(
             np.array([40.0, 20.0, 1.0, 0.5]), np.array([2.0, 1.5, 0.1, 0.0])
         )
+        posterior = constant_null(observed.normalized)
         null = constant_null(np.array([0.5, 0.4, 0.3, 0.0]))
-        result = count_significant(observed, null, SigTestConfig(n_null_samples=200))
+        result = count_significant(observed, null, SigTestConfig(n_null_samples=200), posterior)
         assert result.n_significant == 2
         assert np.array_equal(result.raw_p, [0.0, 0.0, 1.0])
         assert np.array_equal(result.adjusted_p, [0.0, 0.0, 1.0])
@@ -559,53 +557,47 @@ class TestCountSignificant:
         observed = Spectrum(
             np.array([40.0, 20.0, 10.0, 5.0]), np.array([0.1, 2.0, 2.0, 2.0])
         )
+        posterior = constant_null(observed.normalized)
         null = constant_null(np.array([0.5, 0.4, 0.3, 0.0]))
-        result = count_significant(observed, null, SigTestConfig(n_null_samples=200))
+        result = count_significant(observed, null, SigTestConfig(n_null_samples=200), posterior)
         # Rank 1 fails immediately; later ranks are never tested.
         assert result.n_significant == 0
         assert result.raw_p.shape == (1,)
         assert result.raw_p[0] == 1.0
 
-    def test_ties_count_as_non_exceedances(self):
-        observed = Spectrum(np.array([4.0, 2.0, 1.0]), normalized_eigenvalues([4.0, 2.0, 1.0]))
-        null = NullSpectra(
-            eigenvalues=np.tile(observed.eigenvalues, (150, 1)),
-            normalized=np.tile(observed.normalized, (150, 1)),
-        )
-        result = count_significant(observed, null, SigTestConfig(n_null_samples=150))
-        # Every null row ties the observed value; strict exceedance makes
-        # every tested raw p exactly 0.
-        assert np.all(result.raw_p == 0.0)
-        assert result.n_significant == result.spectrum.n_ranks
-
     def test_raw_p_values_are_exceedance_fractions(self):
         gen = np.random.default_rng(28)
         n_samples, q = 400, 5
-        normalized = np.sort(gen.uniform(0, 2, size=(n_samples, q)), axis=1)[:, ::-1]
-        normalized[:, -1] = 0.0
-        eigenvalues = np.sort(gen.uniform(0, 10, size=(n_samples, q)), axis=1)[:, ::-1]
-        null = NullSpectra(eigenvalues=eigenvalues, normalized=normalized)
+        null = np.sort(gen.uniform(0, 2, size=(n_samples, q)), axis=1)[:, ::-1]
+        null[:, -1] = 0.0
+        # Ranks 1 and 2 sit above their nulls in nearly every draw, with one
+        # exact tie each; rank 3 is a coin flip.
+        posterior = null + gen.uniform(-0.002, 1.0, size=(n_samples, q)) * [1, 1, 0, 0, 0]
+        posterior[:, 2] += gen.uniform(-0.5, 0.5, size=n_samples)
+        posterior[0, :2] = null[0, :2]
         observed = Spectrum(
             np.array([5.0, 4.0, 3.0, 2.0, 1.0]), np.array([1.9, 1.2, 0.8, 0.4, 0.0])
         )
-        result = count_significant(observed, null, SigTestConfig(n_null_samples=400))
+        result = count_significant(observed, null, SigTestConfig(n_null_samples=400), posterior)
+        assert result.raw_p.size == 3
         for r, raw in enumerate(result.raw_p):
-            expected = np.count_nonzero(normalized[:, r] > observed.normalized[r]) / n_samples
+            expected = np.count_nonzero(null[:, r] >= posterior[:, r]) / n_samples
             assert raw == expected
             assert float(raw * n_samples).is_integer()
+        assert result.raw_p[0] > 0.0
 
     def test_result_postconditions(self):
         gen = np.random.default_rng(29)
         for trial in range(20):
             q = int(gen.integers(3, 8))
             n_samples = 150
-            normalized = np.abs(gen.standard_normal((n_samples, q)))
-            normalized[:, -1] = 0.0
-            null = NullSpectra(eigenvalues=np.ones((n_samples, q)), normalized=normalized)
+            null = np.abs(gen.standard_normal((n_samples, q)))
+            null[:, -1] = 0.0
+            posterior = null + gen.standard_normal((n_samples, q)) + gen.uniform(0, 4, size=q)
             lam = np.sort(gen.uniform(1, 10, size=q))[::-1]
             observed = Spectrum(lam, np.abs(gen.standard_normal(q)))
             cfg = SigTestConfig(n_null_samples=n_samples, alpha=0.05)
-            result = count_significant(observed, null, cfg)
+            result = count_significant(observed, null, cfg, posterior)
             w = result.n_significant
             assert result.raw_p.shape == result.adjusted_p.shape
             assert len(result.raw_p) <= q
@@ -619,13 +611,14 @@ class TestCountSignificant:
             assert np.all(np.diff(result.null_quantiles, axis=1) >= 0.0)
 
     def test_zero_spectrum_with_noisy_null_finds_nothing(self):
+        # A zero spectrum has no component to remove, so its nulls are the
+        # posterior draws themselves.
         q, n_samples = 4, 200
         gen = np.random.default_rng(30)
-        normalized = np.abs(gen.standard_normal((n_samples, q))) + 0.01
-        normalized[:, -1] = 0.0
-        null = NullSpectra(eigenvalues=np.ones((n_samples, q)), normalized=normalized)
+        null = np.abs(gen.standard_normal((n_samples, q))) + 0.01
+        null[:, -1] = 0.0
         observed = Spectrum(np.zeros(q), np.zeros(q))
-        result = count_significant(observed, null, SigTestConfig(n_null_samples=n_samples))
+        result = count_significant(observed, null, SigTestConfig(n_null_samples=n_samples), null)
         assert result.n_significant == 0
         assert result.raw_p[0] == 1.0
 
@@ -633,7 +626,7 @@ class TestCountSignificant:
         observed = Spectrum.from_eigenvalues([4.0, 2.0, 1.0])
         null = constant_null(np.array([0.5, 0.0]))
         with pytest.raises(ShapeError):
-            count_significant(observed, null, SigTestConfig())
+            count_significant(observed, null, SigTestConfig(), null)
         with pytest.raises(ShapeError):
             count_significant(
                 observed,
@@ -655,7 +648,7 @@ class TestCountSignificant:
         observed = Spectrum.from_eigenvalues([4.0])
         null = constant_null(np.array([0.0]))
         with pytest.raises(ConfigError):
-            count_significant(observed, null, SigTestConfig())
+            count_significant(observed, null, SigTestConfig(), null)
 
 
 class TestEndToEndSpectrumProperties:
@@ -670,12 +663,12 @@ class TestEndToEndSpectrumProperties:
         recon = reconstruct(model)
         cfg = SigTestConfig(n_null_samples=300, seed=2)
 
-        def count(recon):
-            spectrum = reconstruction_spectrum(recon.mean, q=6)
-            null = sample_null_spectra(recon, q=6, config=cfg)
-            return count_significant(spectrum, null, cfg).n_significant
+        def count(mean, var):
+            spectrum = reconstruction_spectrum(mean, q=6)
+            predictive = Reconstruction(mean=mean, var=var + model.noise_var)
+            posterior, null = sample_rank_null_spectra(predictive, spectrum, cfg)
+            return count_significant(spectrum, null, cfg, posterior).n_significant
 
-        base = count(recon)
         perm = np.random.default_rng(32).permutation(40)
-        permuted = Reconstruction(mean=recon.mean[perm], var=recon.var[perm])
-        assert count(permuted) == base
+        assert count(recon.mean, recon.var) == 2
+        assert count(recon.mean[perm], recon.var[perm]) == 2
