@@ -6,13 +6,13 @@ reconstructs with that fit, samples replicate spectra from the
 elementwise posterior predictive (reconstruction variance plus noise
 variance) together with per-rank nulls that lack the tested component,
 and counts significant ranks.  All randomness derives from one master
-seed; fitting and null sampling receive disjoint child seeds, and each
-null draw owns a fixed stream.  An analysis runs on the calling thread;
-numpy's BLAS may start threads of its own, and its thread setting can
-change the last bits of the results.  ``run_validation`` spreads the
-datasets of a grid over ``AnalysisOptions.workers`` processes; each
-run's seeds derive only from its spec, so results are identical for any
-worker count.
+seed; ``AnalysisOptions.stage_configs`` gives fitting and null sampling
+disjoint child seeds, and each null draw owns a fixed stream.  An
+analysis runs on the calling thread; numpy's BLAS may start threads of
+its own, and its thread setting can change the last bits of the results.
+``run_validation`` spreads the datasets of a grid over
+``AnalysisOptions.workers`` processes; each run's seeds derive only from
+its spec, so results are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,7 +69,7 @@ RANK_TABLE_COLUMNS = (
 class AnalysisOptions:
     """Settings of one full analysis; ``seed`` is the master seed.
     ``workers`` is the number of processes ``run_validation`` uses; a
-    single analysis ignores it."""
+    single analysis ignores it.  ``stage_configs`` checks the others."""
 
     alpha: float = 0.05
     n_null_samples: int = 2000
@@ -83,16 +82,23 @@ class AnalysisOptions:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        # Delegate range checks to the stage configs.
-        VbpcaConfig(
+        self.stage_configs()
+
+    def stage_configs(self) -> tuple[VbpcaConfig, SigTestConfig]:
+        """Fit and null-sampling settings with their child seeds; the
+        fit's count (``q_max``, else 2) is settled by ``select_n_components``."""
+        fit_config = VbpcaConfig(
             n_components=2 if self.q_max is None else self.q_max,
             max_iters=self.max_iters,
             conv_tol=self.conv_tol,
-            seed=self.seed,
+            seed=derive_seed(self.seed, _FIT_SEED_TAG),
         )
-        SigTestConfig(
-            n_null_samples=self.n_null_samples, alpha=self.alpha, seed=self.seed
+        sig_config = SigTestConfig(
+            n_null_samples=self.n_null_samples,
+            alpha=self.alpha,
+            seed=derive_seed(self.seed, _NULL_SEED_TAG),
         )
+        return fit_config, sig_config
 
 
 @dataclass(frozen=True)
@@ -109,8 +115,7 @@ class AnalysisResult:
 
 
 def _check_centered(data: MaskedMatrix) -> None:
-    counts = data.column_observed_counts()
-    means = np.abs(data.values.sum(axis=0) / counts)
+    means = np.abs(data.column_means())
     scale = float(np.max(np.abs(data.values))) if data.values.size else 0.0
     if float(means.max()) > _CENTER_RTOL * max(scale, 1.0):
         raise DataError(
@@ -125,12 +130,7 @@ def analyze_matrix(data: MaskedMatrix, options: AnalysisOptions) -> AnalysisResu
     if min(n, p) < 2:
         raise DataError(f"matrix shape {data.shape} too small to analyze")
     _check_centered(data)
-    fit_config = VbpcaConfig(
-        n_components=2,  # replaced by the count select_n_components decides
-        max_iters=options.max_iters,
-        conv_tol=options.conv_tol,
-        seed=derive_seed(options.seed, _FIT_SEED_TAG),
-    )
+    fit_config, sig_config = options.stage_configs()
     model = select_n_components(data, fit_config, options.q_max)
     recon = reconstruct(model)
     # Anchor the spectrum floor to the energy of the data so that a
@@ -139,11 +139,6 @@ def analyze_matrix(data: MaskedMatrix, options: AnalysisOptions) -> AnalysisResu
     flat_data = data.values.ravel()
     energy_floor = _SPECTRUM_FLOOR_REL * float(np.dot(flat_data, flat_data))
     spectrum = reconstruction_spectrum(recon.mean, model.n_components, energy_floor)
-    sig_config = SigTestConfig(
-        n_null_samples=options.n_null_samples,
-        alpha=options.alpha,
-        seed=derive_seed(options.seed, _NULL_SEED_TAG),
-    )
     # Replicate data matrices come from the posterior predictive: the
     # reconstruction's own uncertainty plus the fitted noise.  Against the
     # reconstruction variance alone, which shrinks as rows and columns
@@ -152,9 +147,7 @@ def analyze_matrix(data: MaskedMatrix, options: AnalysisOptions) -> AnalysisResu
     predictive = Reconstruction(
         mean=recon.mean, var=recon.var + model.noise_var
     )
-    posterior, null = sample_rank_null_spectra(
-        predictive, spectrum, sig_config, energy_floor
-    )
+    posterior, null = sample_rank_null_spectra(predictive, spectrum, sig_config)
     test = count_significant(spectrum, null, sig_config, posterior)
     flat = recon.mean.ravel()
     total_variance = float(np.dot(flat, flat))
@@ -283,14 +276,10 @@ class ValidationRun:
     n_significant_est: int
 
 
-def _run_one_validation(payload: dict) -> dict:
-    spec = SyntheticSpec.from_dict(payload["spec"])
-    options = AnalysisOptions(**payload["options"])
+def _run_one_validation(spec: SyntheticSpec, options: AnalysisOptions) -> tuple[int, int]:
+    """The fit's count and the estimate for one grid dataset."""
     result = analyze_numeric(generate(spec), options)
-    return {
-        "n_components": result.n_components,
-        "n_significant_est": result.test.n_significant,
-    }
+    return result.n_components, result.test.n_significant
 
 
 def run_validation(
@@ -306,30 +295,30 @@ def run_validation(
     count.
     """
     specs = scenario_grid(scenario, base_seed=base_seed, replicates=replicates)
-    payloads = []
-    for spec in specs:
-        run_options = replace(options, seed=derive_seed(spec.seed, _RUN_SEED_TAG))
-        payloads.append({"spec": spec.to_dict(), "options": asdict(run_options)})
+    run_options = [
+        replace(options, seed=derive_seed(spec.seed, _RUN_SEED_TAG)) for spec in specs
+    ]
     if options.workers <= 1:
-        outcomes = [_run_one_validation(p) for p in payloads]
+        outcomes = list(map(_run_one_validation, specs, run_options))
     else:
+        # Here, not at the top, so importing the package skips multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=options.workers) as pool:
-            outcomes = list(pool.map(_run_one_validation, payloads, chunksize=4))
-    runs = []
-    for idx, (spec, outcome) in enumerate(zip(specs, outcomes)):
-        runs.append(
-            ValidationRun(
-                scenario=scenario,
-                n_rows=spec.n_rows,
-                n_cols=spec.n_cols,
-                n_significant_true=spec.n_significant,
-                replicate=idx % replicates,
-                seed=spec.seed,
-                n_components=outcome["n_components"],
-                n_significant_est=outcome["n_significant_est"],
-            )
+            outcomes = list(pool.map(_run_one_validation, specs, run_options, chunksize=4))
+    return [
+        ValidationRun(
+            scenario=scenario,
+            n_rows=spec.n_rows,
+            n_cols=spec.n_cols,
+            n_significant_true=spec.n_significant,
+            replicate=idx % replicates,
+            seed=spec.seed,
+            n_components=n_components,
+            n_significant_est=n_significant_est,
         )
-    return runs
+        for idx, (spec, (n_components, n_significant_est)) in enumerate(zip(specs, outcomes))
+    ]
 
 
 def summarize_validation(runs: list[ValidationRun]) -> list[dict]:

@@ -82,10 +82,13 @@ def _normalize_rows(lam: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Top eigenvalues of a Gram matrix with their normalised form."""
+    """Top eigenvalues of a Gram matrix with their normalised form, and
+    the absolute ``floor`` they were cut at (values at or below it are
+    exact zeros), which must be finite and >= 0 (``ConfigError``)."""
 
     eigenvalues: np.ndarray
     normalized: np.ndarray
+    floor: float = 0.0
 
     def __post_init__(self) -> None:
         lam = np.asarray(self.eigenvalues, dtype=np.float64)
@@ -94,6 +97,8 @@ class Spectrum:
             raise ShapeError("eigenvalues and normalized must be matching 1-D arrays")
         if lam.size and (np.any(lam < 0.0) or np.any(np.diff(lam) > 0.0)):
             raise ShapeError("eigenvalues must be nonnegative and weakly descending")
+        if not 0.0 <= self.floor < np.inf:
+            raise ConfigError(f"floor must be finite and >= 0, got {self.floor}")
         lam = lam.copy()
         norm = norm.copy()
         lam.flags.writeable = False
@@ -102,8 +107,8 @@ class Spectrum:
         object.__setattr__(self, "normalized", norm)
 
     @classmethod
-    def from_eigenvalues(cls, eigenvalues) -> "Spectrum":
-        return cls(np.asarray(eigenvalues), normalized_eigenvalues(eigenvalues))
+    def from_eigenvalues(cls, eigenvalues, floor: float = 0.0) -> "Spectrum":
+        return cls(np.asarray(eigenvalues), normalized_eigenvalues(eigenvalues), floor)
 
     @property
     def n_ranks(self) -> int:
@@ -136,22 +141,21 @@ def reconstruction_spectrum(x_mean, q: int, energy_floor: float = 0.0) -> Spectr
     """Spectrum of the reconstruction mean truncated to the top q ranks.
 
     Eigenvalues at or below ``energy_floor`` are reported as exact
-    zeros.  Analyses anchor the floor to the total energy of the data
-    matrix, so that a reconstruction consisting entirely of numerical
-    residue (all its eigenvalues a vanishing fraction of the data
-    energy) yields an exactly zero spectrum instead of a spectrum of
-    noise ratios; a floor relative to the leading eigenvalue cannot
-    make that call, because it only sees the reconstruction itself.
-    The default applies only the relative rank cutoff.
+    zeros, and the spectrum keeps the floor for its null draws.
+    Analyses anchor it to the total energy of the data matrix, so that
+    a reconstruction made entirely of numerical residue (all its
+    eigenvalues a vanishing fraction of the data energy) yields an
+    exactly zero spectrum instead of a spectrum of noise ratios; a
+    floor relative to the leading eigenvalue cannot make that call,
+    because it only sees the reconstruction itself.  The default
+    applies only the relative rank cutoff.
     """
     x = np.asarray(x_mean, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"x_mean must be 2-D, got ndim={x.ndim}")
     if not 2 <= q <= min(x.shape):
         raise ConfigError(f"q={q} out of range [2, {min(x.shape)}] for shape {x.shape}")
-    if energy_floor < 0.0 or not np.isfinite(energy_floor):
-        raise ConfigError(f"energy_floor must be finite and >= 0, got {energy_floor}")
-    return Spectrum.from_eigenvalues(_top_eigenvalues(x, q, energy_floor))
+    return Spectrum.from_eigenvalues(_top_eigenvalues(x, q, energy_floor), energy_floor)
 
 
 @dataclass(frozen=True)
@@ -178,7 +182,6 @@ def sample_rank_null_spectra(
     recon: Reconstruction,
     spectrum: Spectrum,
     config: SigTestConfig,
-    energy_floor: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior spectra paired draw by draw with per-rank null spectra.
 
@@ -191,7 +194,7 @@ def sample_rank_null_spectra(
     added to the best rank-r approximation of the mean: the draw had the
     mean no component at ranks r and beyond.  Ranks at which ``spectrum``
     is zero have nothing to remove; their columns equal the posterior's.
-    ``energy_floor`` must match the floor used for ``spectrum``.  Analyses
+    Every draw is cut at ``spectrum.floor``, as the spectrum was.  Analyses
     pass the posterior predictive (``recon.var`` plus the noise variance),
     so that a component is judged against the noise in the data.
 
@@ -218,8 +221,6 @@ def sample_rank_null_spectra(
         raise ConfigError(
             f"q={q} out of range [2, {min(mean.shape)}] for shape {mean.shape}"
         )
-    if energy_floor < 0.0 or not np.isfinite(energy_floor):
-        raise ConfigError(f"energy_floor must be finite and >= 0, got {energy_floor}")
     n_removed = int(np.count_nonzero(spectrum.eigenvalues))
     std = np.sqrt(recon.var)
     # Null Grams are built in the frame x whose x'x is the side _gram
@@ -265,20 +266,17 @@ def sample_rank_null_spectra(
                 np.add(cross, cross.T, out=grams[1 + r])
                 grams[1 + r] += noise_gram
                 grams[1 + r] += base_grams[r]
-        lam = _rank_cutoff(sym_eigvals(grams[: 1 + n_live])[:, :q], energy_floor)
+        lam = _rank_cutoff(sym_eigvals(grams[: 1 + n_live])[:, :q], spectrum.floor)
         norm = _normalize_rows(lam)
         posterior[k] = null[k] = norm[0]
         null[k, :n_live] = norm[1:].diagonal()
         # The paired exceedance rule of count_significant.  Its Holm values
-        # on the counts so far can only grow, so the first one at or above
-        # alpha marks a rank the step-down cannot pass.
+        # on the counts so far can only grow, so the step-down cannot pass
+        # the rank where it would stop on them.
         hits = null[k, :n_live] >= posterior[k, :n_live]
         if hits.any():
             exceed[:n_live] += hits
-            adjusted = holm_bonferroni(exceed[:n_live] / n_samples, q)
-            stops = np.flatnonzero(adjusted >= config.alpha)
-            if stops.size:
-                n_live = int(stops[0]) + 1
+            _, n_live = _step_down(exceed[:n_live] / n_samples, q, config.alpha)
     null[:, n_live:n_removed] = np.nan
     posterior.flags.writeable = False
     null.flags.writeable = False
@@ -301,6 +299,14 @@ def holm_bonferroni(raw_p, m: int) -> np.ndarray:
         raise ConfigError(f"family size m={m} smaller than the {p.size} p-values given")
     scaled = np.minimum(1.0, (m - np.arange(p.size)) * p)
     return np.maximum.accumulate(scaled)
+
+
+def _step_down(raw: np.ndarray, m: int, alpha: float) -> tuple[np.ndarray, int]:
+    """Holm values of ``raw`` over a family of m, and the number of ranks
+    the step-down tests: up to the first value at or above alpha, or all."""
+    adjusted = holm_bonferroni(raw, m)
+    stops = np.flatnonzero(adjusted >= alpha)
+    return adjusted, int(stops[0]) + 1 if stops.size else raw.size
 
 
 @dataclass(frozen=True)
@@ -355,9 +361,7 @@ def count_significant(
     # values of all ranks, so every rank is adjusted at once and the result
     # cut after the first rank that is not significant.
     raw = np.count_nonzero(null >= posterior, axis=0) / n_null
-    adjusted = holm_bonferroni(raw, m=q)
-    stops = np.flatnonzero(adjusted >= config.alpha)
-    n_tested = int(stops[0]) + 1 if stops.size else q
+    adjusted, n_tested = _step_down(raw, q, config.alpha)
     retired = np.flatnonzero(np.isnan(null[:, :n_tested]).any(axis=0))
     if retired.size:
         raise ConfigError(

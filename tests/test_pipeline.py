@@ -1,6 +1,7 @@
 """End-to-end analysis orchestration, reports, and the validation runner."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -20,9 +21,11 @@ from sigpca import (
     generate,
     rank_table_to_csv,
     report_to_json,
+    run_validation,
     summarize_validation,
     validation_summary_to_csv,
 )
+from sigpca import pipeline
 from sigpca.ingest import ColumnSchema, Dataset
 from sigpca.pipeline import RANK_TABLE_COLUMNS
 
@@ -79,6 +82,16 @@ class TestAnalyzeMatrix:
         assert result.n_components == 5
         with pytest.raises(ConfigError):
             analyze_numeric(data, AnalysisOptions(q_max=11, **FAST))
+
+    def test_all_missing_column_raises_data_error_without_warnings(self):
+        values = np.random.default_rng(1).standard_normal((10, 4))
+        values -= values.mean(axis=0)
+        mask = np.ones((10, 4), dtype=bool)
+        mask[:, 2] = False
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="column 2"):
+                analyze_matrix(MaskedMatrix(values, mask), AnalysisOptions(**FAST))
 
     def test_wide_matrix_keeps_one_dimension_for_noise(self):
         data = generate(SyntheticSpec(n_rows=414, n_cols=9, n_significant=1, seed=13))
@@ -295,3 +308,16 @@ class TestValidationSummary:
             "mean_significant,ci_low,ci_high,max_significant"
         )
         assert len(lines) == 3
+
+
+class TestRunValidation:
+    def test_process_pool_gives_the_serial_runs(self, monkeypatch):
+        specs = [
+            SyntheticSpec(n_rows=20, n_cols=cols, n_significant=2, seed=seed)
+            for cols, seed in ((8, 21), (10, 22), (12, 23))
+        ]
+        monkeypatch.setattr(pipeline, "scenario_grid", lambda *args, **kwargs: specs)
+        serial = run_validation("i", 1, 0, AnalysisOptions(n_null_samples=100, workers=1))
+        pooled = run_validation("i", 1, 0, AnalysisOptions(n_null_samples=100, workers=2))
+        assert [run.seed for run in serial] == [21, 22, 23]
+        assert pooled == serial

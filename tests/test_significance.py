@@ -103,6 +103,13 @@ class TestSpectrum:
         with pytest.raises(ShapeError):
             Spectrum(np.array([2.0, 1.0]), np.array([1.0]))
 
+    def test_floor_is_recorded_and_checked(self):
+        assert Spectrum.from_eigenvalues([4.0, 2.0]).floor == 0.0
+        assert Spectrum.from_eigenvalues([4.0, 0.0], 2.5).floor == 2.5
+        for floor in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError):
+                Spectrum.from_eigenvalues([4.0, 2.0], floor)
+
     def test_arrays_frozen(self):
         s = Spectrum.from_eigenvalues([4.0, 2.0])
         with pytest.raises(ValueError):
@@ -149,6 +156,8 @@ class TestReconstructionSpectrum:
             reconstruction_spectrum(np.zeros(6), q=2)
         with pytest.raises(ConfigError):
             reconstruction_spectrum(x, q=2, energy_floor=-1.0)
+        with pytest.raises(ConfigError):
+            reconstruction_spectrum(x, q=2, energy_floor=float("nan"))
 
 
 class TestSampleNullSpectra:
@@ -162,7 +171,7 @@ class TestSampleNullSpectra:
 
     def posterior(self, recon, q, config, energy_floor=0.0):
         spectrum = reconstruction_spectrum(recon.mean, q=q, energy_floor=energy_floor)
-        return sample_rank_null_spectra(recon, spectrum, config, energy_floor)[0]
+        return sample_rank_null_spectra(recon, spectrum, config)[0]
 
     def test_zero_variance_null_equals_observed_spectrum_exactly(self):
         recon = Reconstruction(mean=self.make_recon().mean, var=np.zeros((10, 6)))
@@ -200,8 +209,7 @@ class TestSampleNullSpectra:
             sample_rank_null_spectra(recon, Spectrum.from_eigenvalues(np.ones(7)), SigTestConfig())
         with pytest.raises(ConfigError):
             sample_rank_null_spectra(
-                recon, Spectrum.from_eigenvalues(np.ones(3)), SigTestConfig(),
-                energy_floor=float("nan"),
+                recon, Spectrum.from_eigenvalues(np.ones(3), float("nan")), SigTestConfig()
             )
         with pytest.raises(ConfigError):
             SigTestConfig(n_null_samples=99)
@@ -269,7 +277,8 @@ class TestSampleRankNullSpectra:
         spectrum = reconstruction_spectrum(mean, q=q, energy_floor=energy_floor)
         assert np.count_nonzero(spectrum.eigenvalues) == k
         cfg = SigTestConfig(n_null_samples=100, seed=6)
-        posterior, null = sample_rank_null_spectra(recon, spectrum, cfg, energy_floor)
+        assert spectrum.floor == energy_floor
+        posterior, null = sample_rank_null_spectra(recon, spectrum, cfg)
         expected_post, expected_null = full_draw_reference(recon, q, k, cfg, energy_floor)
         assert np.array_equal(posterior, expected_post)
         retired = retired_ranks(null)
