@@ -37,12 +37,11 @@ from .pipeline import (
     analyze_matrix,
     analyze_numeric,
     build_report,
+    csv_table,
     format_p,
-    rank_table_to_csv,
     report_to_json,
     run_validation,
     summarize_validation,
-    validation_summary_to_csv,
 )
 from .rng import RngStream, derive_seed
 from .significance import (
@@ -95,6 +94,7 @@ __all__ = [
     "format_p",
     "center_scale",
     "count_significant",
+    "csv_table",
     "derive_seed",
     "draw_factors",
     "drop_sparse_columns",
@@ -105,7 +105,6 @@ __all__ = [
     "normalized_eigenvalues",
     "one_hot",
     "preprocess",
-    "rank_table_to_csv",
     "read_schema",
     "reconstruct",
     "reconstruction_spectrum",
@@ -116,6 +115,5 @@ __all__ = [
     "select_n_components",
     "summarize_validation",
     "sym_eigvals",
-    "validation_summary_to_csv",
     "__version__",
 ]

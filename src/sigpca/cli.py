@@ -17,12 +17,13 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import astuple
 from pathlib import Path
 
 from .errors import NumericalError, SigpcaError
 from .ingest import (
     DEFAULT_MISSING_TOKENS,
+    DEFAULT_SPARSE_THRESHOLD,
     drop_sparse_matrix_columns,
     load_csv,
     load_matrix_csv,
@@ -35,13 +36,19 @@ from .pipeline import (
     analyze_matrix,
     analyze_numeric,
     build_report,
-    rank_table_to_csv,
+    csv_table,
     report_to_json,
     run_validation,
     summarize_validation,
-    validation_summary_to_csv,
 )
 from .synthetic import SCENARIOS, SyntheticSpec, generate, scenario_grid
+from .vbpca import DEFAULT_Q_CAP
+
+# Header of the ``--runs-out`` table, one name per ``ValidationRun`` field.
+_RUNS_HEADER = (
+    "scenario", "rows", "cols", "true_significant",
+    "replicate", "seed", "n_components", "estimated_significant",
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,26 +81,27 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=float, default=0.05, help="error level of the step-down test")
+    defaults = AnalysisOptions()
+    parser.add_argument("--alpha", type=float, default=defaults.alpha, help="error level of the step-down test")
     parser.add_argument(
-        "--null-samples", type=int, default=2000, help="number of null spectra"
+        "--null-samples", type=int, default=defaults.n_null_samples, help="number of null spectra"
     )
-    parser.add_argument("--iters", type=int, default=80, help="max fit sweeps")
+    parser.add_argument("--iters", type=int, default=defaults.max_iters, help="max fit sweeps")
     parser.add_argument(
-        "--conv-tol", type=float, default=1e-6, help="relative cost change to stop at"
+        "--conv-tol", type=float, default=defaults.conv_tol, help="relative cost change to stop at"
     )
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
+    parser.add_argument("--seed", type=int, default=defaults.seed, help="master seed")
     parser.add_argument(
         "--q-max",
         type=int,
-        default=None,
+        default=defaults.q_max,
         help="component count of the fit, which prunes the components the data "
-        "do not support (default min(rows-1, cols-1, 60))",
+        f"do not support (default min(rows-1, cols-1, {DEFAULT_Q_CAP}))",
     )
     parser.add_argument(
         "--workers",
         type=int,
-        default=1,
+        default=defaults.workers,
         help="validate: processes that share the grid's datasets; analyze: no "
         "effect (accepted for existing scripts); never affects results",
     )
@@ -125,10 +133,10 @@ def cmd_analyze(args) -> int:
         result = analyze_numeric(matrix, options)
     dataset_id = args.id if args.id is not None else Path(args.data).stem
     report = build_report(result, dataset_id, options)
-    primary = report_to_json(report) if args.format == "json" else rank_table_to_csv(report)
+    primary = report_to_json(report) if args.format == "json" else csv_table(report["ranks"])
     _emit(primary, args.out)
     if args.csv_out is not None:
-        _write_atomic(args.csv_out, rank_table_to_csv(report))
+        _write_atomic(args.csv_out, csv_table(report["ranks"]))
     return 0
 
 
@@ -186,16 +194,10 @@ def cmd_validate(args) -> int:
         base_seed=args.base_seed,
         options=options,
     )
-    summary = summarize_validation(runs)
-    _emit(validation_summary_to_csv(summary), args.out)
+    _emit(csv_table(summarize_validation(runs)), args.out)
     if args.runs_out is not None:
-        lines = ["scenario,rows,cols,true_significant,replicate,seed,n_components,estimated_significant"]
-        for r in runs:
-            lines.append(
-                f"{r.scenario},{r.n_rows},{r.n_cols},{r.n_significant_true},"
-                f"{r.replicate},{r.seed},{r.n_components},{r.n_significant_est}"
-            )
-        _write_atomic(args.runs_out, "\n".join(lines) + "\n")
+        rows = [dict(zip(_RUNS_HEADER, astuple(run), strict=True)) for run in runs]
+        _write_atomic(args.runs_out, csv_table(rows))
     return 0
 
 
@@ -230,7 +232,7 @@ def build_parser() -> _Parser:
     analyze.add_argument(
         "--missing-threshold",
         type=float,
-        default=0.5,
+        default=DEFAULT_SPARSE_THRESHOLD,
         help="drop columns whose missing fraction exceeds this",
     )
     _add_analysis_flags(analyze)
@@ -250,11 +252,11 @@ def build_parser() -> _Parser:
     synth.add_argument(
         "--significant", type=int, default=None, help="true significant component count"
     )
-    synth.add_argument("--weak-var", type=float, default=0.001)
-    synth.add_argument("--strong-var-base", type=float, default=1.0)
-    synth.add_argument("--strong-var-step", type=float, default=0.03)
-    synth.add_argument("--loading-var", type=float, default=0.00015)
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--weak-var", type=float, default=SyntheticSpec.weak_var)
+    synth.add_argument("--strong-var-base", type=float, default=SyntheticSpec.strong_var_base)
+    synth.add_argument("--strong-var-step", type=float, default=SyntheticSpec.strong_var_step)
+    synth.add_argument("--loading-var", type=float, default=SyntheticSpec.loading_var)
+    synth.add_argument("--seed", type=int, default=SyntheticSpec.seed)
     synth.add_argument("--scenario", choices=SCENARIOS, default=None)
     synth.add_argument("--replicates", type=int, default=1)
     synth.add_argument("--base-seed", type=int, default=0)

@@ -1,9 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the count check that
+raises one.
 
 The CLI maps these onto exit codes: input and configuration problems
 (anything deriving from ValueError here) exit with 1, numerical failures
 exit with 2.
 """
+
+import numbers
 
 
 class SigpcaError(Exception):
@@ -28,3 +31,9 @@ class LoadError(DataError):
 
 class NumericalError(SigpcaError, RuntimeError):
     """A numerical routine failed to converge or produced non-finite values."""
+
+
+def _check_count(label: str, value, minimum: int) -> None:
+    """Raise ``ConfigError`` unless ``value`` is an integer >= ``minimum``."""
+    if not isinstance(value, numbers.Integral) or value < minimum:
+        raise ConfigError(f"{label} must be an integer >= {minimum}, got {value}")

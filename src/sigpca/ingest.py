@@ -41,6 +41,8 @@ from .linalg import MaskedMatrix
 KINDS = ("continuous", "categorical", "ordinal", "binary")
 DISCRETE_KINDS = ("categorical", "ordinal", "binary")
 DEFAULT_MISSING_TOKENS = ("", "NA")
+# Columns missing more than this fraction of their rows are dropped.
+DEFAULT_SPARSE_THRESHOLD = 0.5
 
 _MIN_LEVELS = 2
 _MAX_LEVELS = 11
@@ -258,7 +260,7 @@ def _dense_columns(matrix: MaskedMatrix, threshold: float) -> np.ndarray:
 
 
 def drop_sparse_matrix_columns(
-    matrix: MaskedMatrix, threshold: float = 0.5
+    matrix: MaskedMatrix, threshold: float = DEFAULT_SPARSE_THRESHOLD
 ) -> MaskedMatrix:
     """Drop matrix columns whose missing fraction strictly exceeds
     ``threshold``; schema-less counterpart of :func:`drop_sparse_columns`."""
@@ -280,7 +282,9 @@ def center_columns(matrix: MaskedMatrix) -> MaskedMatrix:
     return MaskedMatrix(values, matrix.mask)
 
 
-def drop_sparse_columns(dataset: Dataset, threshold: float = 0.5) -> Dataset:
+def drop_sparse_columns(
+    dataset: Dataset, threshold: float = DEFAULT_SPARSE_THRESHOLD
+) -> Dataset:
     """Drop columns whose missing fraction strictly exceeds ``threshold``."""
     mat = dataset.matrix
     keep = _dense_columns(mat, threshold)
@@ -383,7 +387,9 @@ def center_scale(dataset: Dataset) -> Dataset:
     )
 
 
-def preprocess(dataset: Dataset, sparse_threshold: float = 0.5) -> Dataset:
+def preprocess(
+    dataset: Dataset, sparse_threshold: float = DEFAULT_SPARSE_THRESHOLD
+) -> Dataset:
     """The full fixed-order chain: drop sparse, one-hot, center/scale."""
     return center_scale(one_hot(drop_sparse_columns(dataset, sparse_threshold)))
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import DataError, _check_count
 from .ingest import Dataset, center_columns, preprocess
 from .linalg import MaskedMatrix
 from .rng import derive_seed
@@ -51,19 +51,6 @@ _CENTER_RTOL = 1e-6
 # data energy count as numerical residue, not structure.
 _SPECTRUM_FLOOR_REL = 1e-9
 
-RANK_TABLE_COLUMNS = (
-    "rank",
-    "eigenvalue",
-    "normalized",
-    "variance_fraction",
-    "raw_p",
-    "raw_p_display",
-    "adjusted_p",
-    "null_q05",
-    "null_q50",
-    "null_q95",
-)
-
 
 @dataclass(frozen=True)
 class AnalysisOptions:
@@ -71,17 +58,16 @@ class AnalysisOptions:
     ``workers`` is the number of processes ``run_validation`` uses; a
     single analysis ignores it.  ``stage_configs`` checks the others."""
 
-    alpha: float = 0.05
-    n_null_samples: int = 2000
-    max_iters: int = 80
-    conv_tol: float = 1e-6
+    alpha: float = SigTestConfig.alpha
+    n_null_samples: int = SigTestConfig.n_null_samples
+    max_iters: int = VbpcaConfig.max_iters
+    conv_tol: float = VbpcaConfig.conv_tol
     seed: int = 0
     q_max: int | None = None
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        _check_count("workers", self.workers, 1)
         self.stage_configs()
 
     def stage_configs(self) -> tuple[VbpcaConfig, SigTestConfig]:
@@ -103,15 +89,17 @@ class AnalysisOptions:
 
 @dataclass(frozen=True)
 class AnalysisResult:
-    """Everything a report needs from one analysis."""
+    """Everything a report needs from one analysis: the reconstruction,
+    whose mean is shaped like the data, the spectrum of that mean, whose
+    ranks are the fit's component count, and the rank test."""
 
-    n_rows: int
-    n_cols: int
-    n_components: int
     recon: Reconstruction
     spectrum: Spectrum
     test: SpectrumTestResult
-    total_variance: float
+
+    @property
+    def n_components(self) -> int:
+        return self.spectrum.n_ranks
 
 
 def _check_centered(data: MaskedMatrix) -> None:
@@ -126,8 +114,7 @@ def _check_centered(data: MaskedMatrix) -> None:
 
 def analyze_matrix(data: MaskedMatrix, options: AnalysisOptions) -> AnalysisResult:
     """Run the full analysis on an already centered masked matrix."""
-    n, p = data.shape
-    if min(n, p) < 2:
+    if min(data.shape) < 2:
         raise DataError(f"matrix shape {data.shape} too small to analyze")
     _check_centered(data)
     fit_config, sig_config = options.stage_configs()
@@ -149,17 +136,7 @@ def analyze_matrix(data: MaskedMatrix, options: AnalysisOptions) -> AnalysisResu
     )
     posterior, null = sample_rank_null_spectra(predictive, spectrum, sig_config)
     test = count_significant(spectrum, null, sig_config, posterior)
-    flat = recon.mean.ravel()
-    total_variance = float(np.dot(flat, flat))
-    return AnalysisResult(
-        n_rows=n,
-        n_cols=p,
-        n_components=model.n_components,
-        recon=recon,
-        spectrum=spectrum,
-        test=test,
-        total_variance=total_variance,
-    )
+    return AnalysisResult(recon=recon, spectrum=spectrum, test=test)
 
 
 def analyze_dataset(dataset: Dataset, options: AnalysisOptions) -> AnalysisResult:
@@ -192,12 +169,16 @@ def build_report(
     ``null`` for p-values of ranks the sequential test never reached and
     for the null quantiles of kept ranks whose null was retired because
     the test could no longer reach them.
+    The shape and the total variance, against which each rank's
+    variance fraction is taken, are those of the reconstruction mean.
     The config echo deliberately excludes the worker count, which never
     affects results.
     """
     test = result.test
     q = result.n_components
-    total = result.total_variance
+    n_rows, n_cols = result.recon.mean.shape
+    flat = result.recon.mean.ravel()
+    total = float(np.dot(flat, flat))
     eigenvalues = result.spectrum.eigenvalues
     fractions = eigenvalues / total if total > 0 else np.zeros(q)
     cumulative = np.cumsum(fractions)
@@ -228,8 +209,8 @@ def build_report(
         )
     return {
         "dataset": dataset_id,
-        "rows": result.n_rows,
-        "cols": result.n_cols,
+        "rows": n_rows,
+        "cols": n_cols,
         "n_components": q,
         "n_significant": w,
         "config": {
@@ -250,15 +231,15 @@ def report_to_json(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def rank_table_to_csv(report: dict) -> str:
-    """Per-rank table of a report as CSV text."""
+def csv_table(rows: list[dict]) -> str:
+    """CSV text of a nonempty list of rows with the same keys: the header
+    is the first row's keys, and ``None`` is written as an empty cell.
+    ``csv_table(report["ranks"])`` is a report's per-rank table, and
+    ``csv_table(summarize_validation(runs))`` a validation summary."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(RANK_TABLE_COLUMNS)
-    for row in report["ranks"]:
-        writer.writerow(
-            ["" if row[col] is None else row[col] for col in RANK_TABLE_COLUMNS]
-        )
+    writer = csv.DictWriter(buffer, rows[0].keys(), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
     return buffer.getvalue()
 
 
@@ -348,23 +329,3 @@ def summarize_validation(runs: list[ValidationRun]) -> list[dict]:
             }
         )
     return summary
-
-
-def validation_summary_to_csv(summary: list[dict]) -> str:
-    columns = (
-        "scenario",
-        "rows",
-        "cols",
-        "true_significant",
-        "replicates",
-        "mean_significant",
-        "ci_low",
-        "ci_high",
-        "max_significant",
-    )
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    for row in summary:
-        writer.writerow([row[col] for col in columns])
-    return buffer.getvalue()

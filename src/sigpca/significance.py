@@ -34,11 +34,11 @@ guarantee.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, _check_count
 from .linalg import sym_eigvals
 from .rng import RngStream
 from .vbpca import Reconstruction
@@ -82,33 +82,28 @@ def _normalize_rows(lam: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Top eigenvalues of a Gram matrix with their normalised form, and
-    the absolute ``floor`` they were cut at (values at or below it are
-    exact zeros), which must be finite and >= 0 (``ConfigError``)."""
+    """Top eigenvalues of a Gram matrix, a nonempty, nonnegative and weakly
+    descending 1-D array (``ShapeError``), and the absolute ``floor`` they
+    were cut at (values at or below it are exact zeros), which must be
+    finite and >= 0 (``ConfigError``).  ``normalized`` is derived from the
+    eigenvalues by ``normalized_eigenvalues`` and is not an argument; both
+    arrays are read-only copies."""
 
     eigenvalues: np.ndarray
-    normalized: np.ndarray
     floor: float = 0.0
+    normalized: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        lam = np.asarray(self.eigenvalues, dtype=np.float64)
-        norm = np.asarray(self.normalized, dtype=np.float64)
-        if lam.ndim != 1 or lam.shape != norm.shape:
-            raise ShapeError("eigenvalues and normalized must be matching 1-D arrays")
-        if lam.size and (np.any(lam < 0.0) or np.any(np.diff(lam) > 0.0)):
+        lam = np.array(self.eigenvalues, dtype=np.float64)
+        norm = normalized_eigenvalues(lam)
+        if np.any(lam < 0.0) or np.any(np.diff(lam) > 0.0):
             raise ShapeError("eigenvalues must be nonnegative and weakly descending")
         if not 0.0 <= self.floor < np.inf:
             raise ConfigError(f"floor must be finite and >= 0, got {self.floor}")
-        lam = lam.copy()
-        norm = norm.copy()
         lam.flags.writeable = False
         norm.flags.writeable = False
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "normalized", norm)
-
-    @classmethod
-    def from_eigenvalues(cls, eigenvalues, floor: float = 0.0) -> "Spectrum":
-        return cls(np.asarray(eigenvalues), normalized_eigenvalues(eigenvalues), floor)
 
     @property
     def n_ranks(self) -> int:
@@ -155,7 +150,7 @@ def reconstruction_spectrum(x_mean, q: int, energy_floor: float = 0.0) -> Spectr
         raise ShapeError(f"x_mean must be 2-D, got ndim={x.ndim}")
     if not 2 <= q <= min(x.shape):
         raise ConfigError(f"q={q} out of range [2, {min(x.shape)}] for shape {x.shape}")
-    return Spectrum.from_eigenvalues(_top_eigenvalues(x, q, energy_floor), energy_floor)
+    return Spectrum(_top_eigenvalues(x, q, energy_floor), energy_floor)
 
 
 @dataclass(frozen=True)
@@ -169,10 +164,7 @@ class SigTestConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_null_samples < 100:
-            raise ConfigError(
-                f"n_null_samples must be >= 100, got {self.n_null_samples}"
-            )
+        _check_count("n_null_samples", self.n_null_samples, 100)
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
         RngStream(self.seed)  # validates the seed range
@@ -319,16 +311,15 @@ class SpectrumTestResult:
     ``null_quantiles`` holds the 5/50/95 percent points of the null
     normalised values for every rank, shape (q, 3); its rows are NaN for
     ranks whose null was retired (an all-NaN null column), all of which
-    lie after the last tested rank.
+    lie after the last tested rank.  The spectrum and the error level are
+    the caller's: this holds only what the test found.
     """
 
-    spectrum: Spectrum
     raw_p: np.ndarray
     adjusted_p: np.ndarray
     n_significant: int
     null_quantiles: np.ndarray
     n_null_samples: int
-    alpha: float
 
 
 def count_significant(
@@ -376,11 +367,9 @@ def count_significant(
     adjusted.flags.writeable = False
     quantiles.flags.writeable = False
     return SpectrumTestResult(
-        spectrum=spectrum,
         raw_p=raw,
         adjusted_p=adjusted,
         n_significant=n_significant,
         null_quantiles=quantiles,
         n_null_samples=n_null,
-        alpha=config.alpha,
     )

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _check_count
 from .linalg import MaskedMatrix
 from .rng import RngStream, derive_seed
 
@@ -39,12 +39,11 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_rows < 2 or self.n_cols < 2:
-            raise ConfigError(
-                f"shape ({self.n_rows}, {self.n_cols}) must be at least 2 by 2"
-            )
+        _check_count("n_rows", self.n_rows, 2)
+        _check_count("n_cols", self.n_cols, 2)
+        _check_count("n_significant", self.n_significant, 1)
         d = min(self.n_rows, self.n_cols)
-        if not 1 <= self.n_significant < d:
+        if self.n_significant >= d:
             raise ConfigError(
                 f"n_significant={self.n_significant} must be in [1, {d - 1}]"
             )
@@ -106,8 +105,7 @@ def scenario_grid(
     """
     if scenario not in SCENARIOS:
         raise ConfigError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
-    if replicates < 1:
-        raise ConfigError(f"replicates must be >= 1, got {replicates}")
+    _check_count("replicates", replicates, 1)
     scenario_idx = SCENARIOS.index(scenario)
     specs = []
     for size_idx, size in enumerate(SCENARIO_SWEPT_SIZES):

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, _check_count
 from .linalg import MaskedMatrix
 from .rng import RngStream
 
@@ -99,12 +99,8 @@ class VbpcaConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if int(self.n_components) != self.n_components or self.n_components < 2:
-            raise ConfigError(
-                f"n_components must be an integer >= 2, got {self.n_components}"
-            )
-        if self.max_iters < 1:
-            raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
+        _check_count("n_components", self.n_components, 2)
+        _check_count("max_iters", self.max_iters, 1)
         if not 0 <= self.conv_tol < np.inf:
             raise ConfigError(f"conv_tol must be finite and >= 0, got {self.conv_tol}")
         RngStream(self.seed)  # validates the seed range

@@ -17,17 +17,15 @@ from sigpca import (
     analyze_matrix,
     analyze_numeric,
     build_report,
+    csv_table,
     format_p,
     generate,
-    rank_table_to_csv,
     report_to_json,
     run_validation,
     summarize_validation,
-    validation_summary_to_csv,
 )
 from sigpca import pipeline
 from sigpca.ingest import ColumnSchema, Dataset
-from sigpca.pipeline import RANK_TABLE_COLUMNS
 
 FAST = dict(n_null_samples=150, seed=3)
 
@@ -47,6 +45,11 @@ class TestAnalysisOptions:
         assert options.max_iters == 80
         assert options.conv_tol == 1e-6
         assert options.q_max is None
+
+    def test_non_integer_counts_rejected(self):
+        for bad in (dict(n_null_samples=150.5), dict(max_iters=10.5), dict(workers=1.5)):
+            with pytest.raises(ConfigError):
+                AnalysisOptions(**bad)
 
     def test_validation_delegates_to_stage_configs(self):
         with pytest.raises(ConfigError):
@@ -69,12 +72,11 @@ class TestAnalyzeMatrix:
 
     def test_result_fields_are_coherent(self, small_result):
         result, _ = small_result
-        assert (result.n_rows, result.n_cols) == (40, 12)
         assert result.n_components == 11
         assert result.spectrum.n_ranks == result.n_components
         assert result.test.n_significant <= result.n_components
         assert result.recon.mean.shape == (40, 12)
-        assert result.total_variance > 0.0
+        assert np.any(result.recon.mean != 0.0)
 
     def test_q_max_override(self):
         data = generate(SyntheticSpec(n_rows=30, n_cols=10, n_significant=2, seed=12))
@@ -160,9 +162,19 @@ class TestReport:
 
         result, options = small_result
         report = build_report(result, "demo", options)
-        text = rank_table_to_csv(report)
+        text = csv_table(report["ranks"])
+        lines = text.split("\n")
+        assert lines[0] == (
+            "rank,eigenvalue,normalized,variance_fraction,raw_p,raw_p_display,"
+            "adjusted_p,null_q05,null_q50,null_q95"
+        )
+        # The fit keeps no component of this small-scale matrix, so the
+        # spectrum columns are 0.0.  Rank 10 of 11 was not tested, and the
+        # normalised value at the next-to-last rank is l / l = 1 whenever its
+        # eigenvalue is positive, so the row's bytes are exact.
+        assert lines[10] == "10,0.0,0.0,0.0,,,,1.0,1.0,1.0"
+        assert lines[-1] == ""
         rows = list(csv_mod.reader(io.StringIO(text)))
-        assert rows[0] == list(RANK_TABLE_COLUMNS)
         assert len(rows) == 1 + result.n_components
         raw_p_col = rows[0].index("raw_p")
         tested = len(result.test.raw_p)
@@ -244,7 +256,10 @@ class TestRetiredNulls:
         for row in report["ranks"]:
             is_retired = row["rank"] in retired
             assert all((row[col] is None) == is_retired for col in quantile_cols)
-        rows = list(csv_mod.reader(io.StringIO(rank_table_to_csv(report))))
+        # The table is written from the built report, as the CLI does; the
+        # parsed JSON has its keys sorted, so its rows give another column order.
+        table = csv_table(build_report(result, "typed", options)["ranks"])
+        rows = list(csv_mod.reader(io.StringIO(table)))
         cols = [rows[0].index(col) for col in quantile_cols]
         for line in rows[1:]:
             cells = [line[c] for c in cols]
@@ -273,8 +288,7 @@ class TestSchemaRoute:
         )
         result = analyze_dataset(dataset, AnalysisOptions(n_null_samples=100, seed=2))
         # One-hot expansion turns the binary column into two indicators.
-        assert result.n_cols == 6
-        assert result.n_rows == n
+        assert result.recon.mean.shape == (n, 6)
 
 
 class TestValidationSummary:
@@ -301,7 +315,7 @@ class TestValidationSummary:
         assert single["ci_low"] == single["ci_high"] == single["mean_significant"]
 
     def test_csv_layout(self):
-        text = validation_summary_to_csv(summarize_validation(self.make_runs()))
+        text = csv_table(summarize_validation(self.make_runs()))
         lines = text.splitlines()
         assert lines[0] == (
             "scenario,rows,cols,true_significant,replicates,"

@@ -91,27 +91,36 @@ class TestNormalizedEigenvalues:
 
 class TestSpectrum:
     def test_from_eigenvalues(self):
-        s = Spectrum.from_eigenvalues([4.0, 2.0, 1.0])
+        s = Spectrum([4.0, 2.0, 1.0])
         assert s.n_ranks == 3
         assert np.allclose(s.normalized, [4.0 / 3.0, 1.0, 0.0])
 
+    def test_normalized_is_derived_read_only_and_not_an_argument(self):
+        lam = np.array([9.0, 4.0, 2.0, 0.5, 0.0])
+        s = Spectrum(lam, 0.25)
+        assert np.array_equal(s.normalized, normalized_eigenvalues(lam))
+        with pytest.raises(ValueError):
+            s.normalized[0] = 9.0
+        with pytest.raises(TypeError):
+            Spectrum(lam, normalized=normalized_eigenvalues(lam))
+
     def test_ordering_validation(self):
         with pytest.raises(ShapeError):
-            Spectrum.from_eigenvalues([1.0, 2.0])
+            Spectrum([1.0, 2.0])
         with pytest.raises(ShapeError):
-            Spectrum.from_eigenvalues([2.0, -1.0])
+            Spectrum([2.0, -1.0])
         with pytest.raises(ShapeError):
-            Spectrum(np.array([2.0, 1.0]), np.array([1.0]))
+            Spectrum(np.ones((2, 2)))
 
     def test_floor_is_recorded_and_checked(self):
-        assert Spectrum.from_eigenvalues([4.0, 2.0]).floor == 0.0
-        assert Spectrum.from_eigenvalues([4.0, 0.0], 2.5).floor == 2.5
+        assert Spectrum([4.0, 2.0]).floor == 0.0
+        assert Spectrum([4.0, 0.0], 2.5).floor == 2.5
         for floor in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ConfigError):
-                Spectrum.from_eigenvalues([4.0, 2.0], floor)
+                Spectrum([4.0, 2.0], floor)
 
     def test_arrays_frozen(self):
-        s = Spectrum.from_eigenvalues([4.0, 2.0])
+        s = Spectrum([4.0, 2.0])
         with pytest.raises(ValueError):
             s.eigenvalues[0] = 9.0
 
@@ -204,12 +213,12 @@ class TestSampleNullSpectra:
     def test_validation(self):
         recon = self.make_recon()
         with pytest.raises(ConfigError):
-            sample_rank_null_spectra(recon, Spectrum.from_eigenvalues([1.0]), SigTestConfig())
+            sample_rank_null_spectra(recon, Spectrum([1.0]), SigTestConfig())
         with pytest.raises(ConfigError):
-            sample_rank_null_spectra(recon, Spectrum.from_eigenvalues(np.ones(7)), SigTestConfig())
+            sample_rank_null_spectra(recon, Spectrum(np.ones(7)), SigTestConfig())
         with pytest.raises(ConfigError):
             sample_rank_null_spectra(
-                recon, Spectrum.from_eigenvalues(np.ones(3), float("nan")), SigTestConfig()
+                recon, Spectrum(np.ones(3), float("nan")), SigTestConfig()
             )
         with pytest.raises(ConfigError):
             SigTestConfig(n_null_samples=99)
@@ -217,6 +226,12 @@ class TestSampleNullSpectra:
             SigTestConfig(alpha=0.0)
         with pytest.raises(ConfigError):
             SigTestConfig(alpha=1.0)
+
+    def test_non_integer_sample_count_rejected(self):
+        for count in (150.5, 200.0, "200"):
+            with pytest.raises(ConfigError):
+                SigTestConfig(n_null_samples=count)
+        assert SigTestConfig(n_null_samples=np.int64(200)).n_null_samples == 200
 
     def test_median_top_rank_matches_independent_resimulation(self):
         gen = np.random.default_rng(25)
@@ -552,10 +567,8 @@ def constant_null(rows: np.ndarray, n_samples: int = 200) -> np.ndarray:
 
 class TestCountSignificant:
     def test_clear_cut_two_significant_ranks(self):
-        observed = Spectrum(
-            np.array([40.0, 20.0, 1.0, 0.5]), np.array([2.0, 1.5, 0.1, 0.0])
-        )
-        posterior = constant_null(observed.normalized)
+        observed = Spectrum(np.array([40.0, 20.0, 1.0, 0.5]))
+        posterior = constant_null(np.array([2.0, 1.5, 0.1, 0.0]))
         null = constant_null(np.array([0.5, 0.4, 0.3, 0.0]))
         result = count_significant(observed, null, SigTestConfig(n_null_samples=200), posterior)
         assert result.n_significant == 2
@@ -563,10 +576,8 @@ class TestCountSignificant:
         assert np.array_equal(result.adjusted_p, [0.0, 0.0, 1.0])
 
     def test_testing_stops_at_first_non_significant_rank(self):
-        observed = Spectrum(
-            np.array([40.0, 20.0, 10.0, 5.0]), np.array([0.1, 2.0, 2.0, 2.0])
-        )
-        posterior = constant_null(observed.normalized)
+        observed = Spectrum(np.array([40.0, 20.0, 10.0, 5.0]))
+        posterior = constant_null(np.array([0.1, 2.0, 2.0, 2.0]))
         null = constant_null(np.array([0.5, 0.4, 0.3, 0.0]))
         result = count_significant(observed, null, SigTestConfig(n_null_samples=200), posterior)
         # Rank 1 fails immediately; later ranks are never tested.
@@ -584,9 +595,7 @@ class TestCountSignificant:
         posterior = null + gen.uniform(-0.002, 1.0, size=(n_samples, q)) * [1, 1, 0, 0, 0]
         posterior[:, 2] += gen.uniform(-0.5, 0.5, size=n_samples)
         posterior[0, :2] = null[0, :2]
-        observed = Spectrum(
-            np.array([5.0, 4.0, 3.0, 2.0, 1.0]), np.array([1.9, 1.2, 0.8, 0.4, 0.0])
-        )
+        observed = Spectrum(np.array([5.0, 4.0, 3.0, 2.0, 1.0]))
         result = count_significant(observed, null, SigTestConfig(n_null_samples=400), posterior)
         assert result.raw_p.size == 3
         for r, raw in enumerate(result.raw_p):
@@ -604,7 +613,7 @@ class TestCountSignificant:
             null[:, -1] = 0.0
             posterior = null + gen.standard_normal((n_samples, q)) + gen.uniform(0, 4, size=q)
             lam = np.sort(gen.uniform(1, 10, size=q))[::-1]
-            observed = Spectrum(lam, np.abs(gen.standard_normal(q)))
+            observed = Spectrum(lam)
             cfg = SigTestConfig(n_null_samples=n_samples, alpha=0.05)
             result = count_significant(observed, null, cfg, posterior)
             w = result.n_significant
@@ -626,13 +635,13 @@ class TestCountSignificant:
         gen = np.random.default_rng(30)
         null = np.abs(gen.standard_normal((n_samples, q))) + 0.01
         null[:, -1] = 0.0
-        observed = Spectrum(np.zeros(q), np.zeros(q))
+        observed = Spectrum(np.zeros(q))
         result = count_significant(observed, null, SigTestConfig(n_null_samples=n_samples), null)
         assert result.n_significant == 0
         assert result.raw_p[0] == 1.0
 
     def test_shape_mismatch_rejected(self):
-        observed = Spectrum.from_eigenvalues([4.0, 2.0, 1.0])
+        observed = Spectrum([4.0, 2.0, 1.0])
         null = constant_null(np.array([0.5, 0.0]))
         with pytest.raises(ShapeError):
             count_significant(observed, null, SigTestConfig(), null)
@@ -645,7 +654,7 @@ class TestCountSignificant:
             )
 
     def test_paired_null_reaching_the_posterior_counts_against_the_rank(self):
-        observed = Spectrum(np.array([4.0, 2.0, 1.0]), np.array([2.0, 1.5, 0.0]))
+        observed = Spectrum(np.array([4.0, 2.0, 1.0]))
         posterior = constant_null(np.array([1.8, 1.2, 0.0]))
         null = constant_null(np.array([0.5, 1.2, 0.0]))
         result = count_significant(observed, null, SigTestConfig(n_null_samples=200), posterior)
@@ -654,7 +663,7 @@ class TestCountSignificant:
         assert result.n_significant == 1
 
     def test_single_rank_spectrum_rejected(self):
-        observed = Spectrum.from_eigenvalues([4.0])
+        observed = Spectrum([4.0])
         null = constant_null(np.array([0.0]))
         with pytest.raises(ConfigError):
             count_significant(observed, null, SigTestConfig(), null)

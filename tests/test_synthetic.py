@@ -23,6 +23,11 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             SyntheticSpec(n_rows=10, n_cols=1, n_significant=1)
 
+    def test_non_integer_counts_rejected(self):
+        for args in ((40.5, 12, 2), (40, 12.0, 2), (40, 12, 2.5)):
+            with pytest.raises(ConfigError):
+                SyntheticSpec(*args)
+
     def test_significant_count_must_leave_room_for_weak_directions(self):
         with pytest.raises(ConfigError):
             SyntheticSpec(n_rows=10, n_cols=5, n_significant=5)
@@ -127,3 +132,5 @@ class TestScenarioGrid:
             scenario_grid("iii")
         with pytest.raises(ConfigError):
             scenario_grid("i", replicates=0)
+        with pytest.raises(ConfigError):
+            scenario_grid("i", replicates=1.5)

@@ -41,6 +41,12 @@ class TestConfigValidation:
             VbpcaConfig(n_components=2.5)
         assert VbpcaConfig(n_components=2).n_components == 2
 
+    def test_non_integer_counts_rejected(self):
+        with pytest.raises(ConfigError):
+            VbpcaConfig(n_components=3, max_iters=2.5)
+        with pytest.raises(ConfigError):
+            VbpcaConfig(n_components=3.0)
+
     def test_iteration_and_tolerance_bounds(self):
         with pytest.raises(ConfigError):
             VbpcaConfig(n_components=2, max_iters=0)
