@@ -28,12 +28,11 @@ from .ingest import (
     preprocess,
     read_schema,
 )
-from .linalg import MaskedMatrix, sym_eigvals
+from .linalg import MaskedMatrix
 from .pipeline import (
     AnalysisOptions,
     AnalysisResult,
     ValidationRun,
-    analyze_dataset,
     analyze_matrix,
     analyze_numeric,
     build_report,
@@ -43,7 +42,7 @@ from .pipeline import (
     run_validation,
     summarize_validation,
 )
-from .rng import RngStream, derive_seed
+from .rng import derive_seed, generator
 from .significance import (
     SigTestConfig,
     Spectrum,
@@ -77,7 +76,6 @@ __all__ = [
     "MaskedMatrix",
     "NumericalError",
     "Reconstruction",
-    "RngStream",
     "ShapeError",
     "SigTestConfig",
     "SigpcaError",
@@ -87,7 +85,6 @@ __all__ = [
     "ValidationRun",
     "VbpcaConfig",
     "VbpcaModel",
-    "analyze_dataset",
     "analyze_matrix",
     "analyze_numeric",
     "build_report",
@@ -100,6 +97,7 @@ __all__ = [
     "drop_sparse_columns",
     "fit",
     "generate",
+    "generator",
     "holm_bonferroni",
     "load_csv",
     "normalized_eigenvalues",
@@ -114,6 +112,5 @@ __all__ = [
     "scenario_grid",
     "select_n_components",
     "summarize_validation",
-    "sym_eigvals",
     "__version__",
 ]

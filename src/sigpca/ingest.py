@@ -411,15 +411,16 @@ def read_schema(path) -> tuple[ColumnSchema, ...]:
             parts = line.split()
             if len(parts) < 2 or len(parts) > 4:
                 raise LoadError(f"{path}: line {line_num}: expected 'name kind [levels] [numeric]'")
-            name, kind = parts[0], parts[1]
-            levels = None
-            as_numeric = False
-            rest = parts[2:]
-            if rest and rest[-1] == "numeric":
-                as_numeric = True
+            name, kind, *rest = parts
+            as_numeric = rest[-1:] == ["numeric"]
+            if as_numeric:
                 rest = rest[:-1]
-            if rest:
-                levels = tuple(rest[0].split(","))
+            if len(rest) > 1:
+                raise LoadError(
+                    f"{path}: line {line_num}: expected 'numeric' after the levels, "
+                    f"got {rest[-1]!r}"
+                )
+            levels = tuple(rest[0].split(",")) if rest else None
             try:
                 columns.append(
                     ColumnSchema(name=name, kind=kind, levels=levels, as_numeric=as_numeric)

@@ -14,11 +14,6 @@ import numpy as np
 
 from .errors import NumericalError, ShapeError
 
-# Relative tolerance for symmetry checks and for clamping the tiny
-# negative eigenvalues a PSD matrix can acquire through rounding.
-_SYM_RTOL = 1e-9
-_EIG_CLAMP_RTOL = 1e-9
-
 
 def _as_matrix(values, label: str = "matrix") -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
@@ -27,7 +22,7 @@ def _as_matrix(values, label: str = "matrix") -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MaskedMatrix:
     """A float64 matrix with an elementwise observation mask.
 
@@ -91,29 +86,17 @@ def sym_eigvals(s) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, or of each matrix in a stack
     of shape ``(..., m, m)``, descending along the last axis.
 
-    Each matrix's symmetry is checked against its own scale.
-    Rounding noise in positive semi-definite inputs is cleaned up: any
-    eigenvalue in ``[-1e-9 * norm, 0)``, with ``norm`` the largest
-    eigenvalue magnitude of the same matrix, is clamped to exactly 0.
-    Genuinely negative eigenvalues of indefinite inputs are returned
-    unchanged.  A stack gives the same values as one call per matrix.
+    Only the lower triangle is read, so callers pass matrices that are
+    symmetric by construction.  Values are returned as computed: rounding
+    can leave tiny negatives in a positive semi-definite input, and the
+    one rule that zeroes them is ``significance._rank_cutoff``.  A stack
+    gives the same values as one call per matrix.
     """
     s = np.asarray(s, dtype=np.float64)
-    if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
-        raise ShapeError(f"matrix must be square, got shape {s.shape}")
+    # eigvalsh returns NaN without an error on non-finite input
     if not np.isfinite(s).all():
         raise NumericalError("matrix contains non-finite entries")
-    matrix_axes = (-2, -1)
-    scale = np.max(np.abs(s), axis=matrix_axes, initial=0.0)
-    asym = np.max(np.abs(s - np.swapaxes(s, -1, -2)), axis=matrix_axes, initial=0.0)
-    if np.any(asym > _SYM_RTOL * np.maximum(scale, 1e-300)):
-        raise ShapeError("matrix is not symmetric within tolerance")
     try:
-        vals = np.linalg.eigvalsh(s)
+        return np.linalg.eigvalsh(s)[..., ::-1]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigenvalue iteration failed to converge: {exc}") from exc
-    vals = vals[..., ::-1].copy()
-    norm = np.max(np.abs(vals), axis=-1, keepdims=True, initial=0.0)
-    clamp = -_EIG_CLAMP_RTOL * norm
-    vals[(vals >= clamp) & (vals < 0.0)] = 0.0
-    return vals

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError, _check_count
-from .ingest import Dataset, center_columns, preprocess
+from .ingest import center_columns
 from .linalg import MaskedMatrix
 from .rng import derive_seed
 from .significance import (
@@ -72,9 +72,9 @@ class AnalysisOptions:
 
     def stage_configs(self) -> tuple[VbpcaConfig, SigTestConfig]:
         """Fit and null-sampling settings with their child seeds; the
-        fit's count (``q_max``, else 2) is settled by ``select_n_components``."""
+        fit's count is ``q_max``, whose default ``fit`` resolves."""
         fit_config = VbpcaConfig(
-            n_components=2 if self.q_max is None else self.q_max,
+            n_components=self.q_max,
             max_iters=self.max_iters,
             conv_tol=self.conv_tol,
             seed=derive_seed(self.seed, _FIT_SEED_TAG),
@@ -87,7 +87,7 @@ class AnalysisOptions:
         return fit_config, sig_config
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnalysisResult:
     """Everything a report needs from one analysis: the reconstruction,
     whose mean is shaped like the data, the spectrum of that mean, whose
@@ -103,9 +103,10 @@ class AnalysisResult:
 
 
 def _check_centered(data: MaskedMatrix) -> None:
+    """``DataError`` unless every column's observed mean is within
+    ``_CENTER_RTOL`` of the largest entry's magnitude."""
     means = np.abs(data.column_means())
-    scale = float(np.max(np.abs(data.values))) if data.values.size else 0.0
-    if float(means.max()) > _CENTER_RTOL * max(scale, 1.0):
+    if means.max() > _CENTER_RTOL * np.abs(data.values).max():
         raise DataError(
             "columns are not centered on their observed means; run the "
             "preprocessing chain first"
@@ -118,7 +119,7 @@ def analyze_matrix(data: MaskedMatrix, options: AnalysisOptions) -> AnalysisResu
         raise DataError(f"matrix shape {data.shape} too small to analyze")
     _check_centered(data)
     fit_config, sig_config = options.stage_configs()
-    model = select_n_components(data, fit_config, options.q_max)
+    model = select_n_components(data, fit_config)
     recon = reconstruct(model)
     # Anchor the spectrum floor to the energy of the data so that a
     # reconstruction made of numerical residue (a fit that pruned every
@@ -137,11 +138,6 @@ def analyze_matrix(data: MaskedMatrix, options: AnalysisOptions) -> AnalysisResu
     posterior, null = sample_rank_null_spectra(predictive, spectrum, sig_config)
     test = count_significant(spectrum, null, sig_config, posterior)
     return AnalysisResult(recon=recon, spectrum=spectrum, test=test)
-
-
-def analyze_dataset(dataset: Dataset, options: AnalysisOptions) -> AnalysisResult:
-    """Preprocess a schema-typed dataset and analyze the result."""
-    return analyze_matrix(preprocess(dataset).matrix, options)
 
 
 def analyze_numeric(matrix: MaskedMatrix, options: AnalysisOptions) -> AnalysisResult:

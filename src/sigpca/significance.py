@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError, _check_count
 from .linalg import sym_eigvals
-from .rng import RngStream
+from .rng import check_seed, generator
 from .vbpca import Reconstruction
 
 _QUANTILES = (5.0, 50.0, 95.0)
@@ -80,14 +80,14 @@ def _normalize_rows(lam: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Top eigenvalues of a Gram matrix, a nonempty, nonnegative and weakly
-    descending 1-D array (``ShapeError``), and the absolute ``floor`` they
-    were cut at (values at or below it are exact zeros), which must be
-    finite and >= 0 (``ConfigError``).  ``normalized`` is derived from the
-    eigenvalues by ``normalized_eigenvalues`` and is not an argument; both
-    arrays are read-only copies."""
+    """Top eigenvalues of a Gram matrix, a nonempty, finite, nonnegative
+    and weakly descending 1-D array (``ShapeError``), and the absolute
+    ``floor`` they were cut at (values at or below it are exact zeros),
+    which must be finite and >= 0 (``ConfigError``).  ``normalized`` is
+    derived from the eigenvalues by ``normalized_eigenvalues`` and is not
+    an argument; both arrays are read-only copies."""
 
     eigenvalues: np.ndarray
     floor: float = 0.0
@@ -95,9 +95,9 @@ class Spectrum:
 
     def __post_init__(self) -> None:
         lam = np.array(self.eigenvalues, dtype=np.float64)
+        if not np.isfinite(lam).all() or np.any(lam < 0.0) or np.any(np.diff(lam) > 0.0):
+            raise ShapeError("eigenvalues must be finite, nonnegative and weakly descending")
         norm = normalized_eigenvalues(lam)
-        if np.any(lam < 0.0) or np.any(np.diff(lam) > 0.0):
-            raise ShapeError("eigenvalues must be nonnegative and weakly descending")
         if not 0.0 <= self.floor < np.inf:
             raise ConfigError(f"floor must be finite and >= 0, got {self.floor}")
         lam.flags.writeable = False
@@ -121,7 +121,9 @@ def _rank_cutoff(lam: np.ndarray, energy_floor: float) -> np.ndarray:
     """Zero the eigenvalues of each descending spectrum along the last
     axis that lie at or below the absolute floor or the numerical-rank
     cutoff relative to the spectrum's leading value; a spectrum with no
-    positive value becomes all zeros."""
+    positive value becomes all zeros.  This is the one rule that zeroes
+    eigenvalues: the tiny negatives that rounding leaves in a Gram
+    matrix's spectrum lie below every cutoff."""
     cutoff = np.maximum(energy_floor, lam[..., :1] * _RANK_TOL_REL)
     return np.where(lam > cutoff, lam, 0.0)
 
@@ -167,7 +169,7 @@ class SigTestConfig:
         _check_count("n_null_samples", self.n_null_samples, 100)
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0, 1), got {self.alpha}")
-        RngStream(self.seed)  # validates the seed range
+        check_seed(self.seed)
 
 
 def sample_rank_null_spectra(
@@ -245,7 +247,7 @@ def sample_rank_null_spectra(
     exceed = np.zeros(n_removed, dtype=np.int64)
     n_live = n_removed
     for k in range(n_samples):
-        RngStream(config.seed, k).generator().standard_normal(out=noise)
+        generator(config.seed, k).standard_normal(out=noise)
         noise *= std
         np.add(mean, noise, out=perturbed)
         _gram(perturbed, out=grams[0])
@@ -301,7 +303,7 @@ def _step_down(raw: np.ndarray, m: int, alpha: float) -> tuple[np.ndarray, int]:
     return adjusted, int(stops[0]) + 1 if stops.size else raw.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectrumTestResult:
     """Outcome of the sequential rank test.
 

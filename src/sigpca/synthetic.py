@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, _check_count
 from .linalg import MaskedMatrix
-from .rng import RngStream, derive_seed
+from .rng import check_seed, derive_seed, generator
 
 # Grid used by the validation scenarios: one fixed dimension of 150, the
 # other swept over these sizes, crossed with these significant counts.
@@ -57,7 +57,7 @@ class SyntheticSpec:
                 f"weakest strong variance {weakest_strong} must exceed "
                 f"weak_var {self.weak_var}"
             )
-        RngStream(self.seed)  # validates the seed range
+        check_seed(self.seed)
 
     def factor_variances(self) -> np.ndarray:
         """Diagonal of the factor covariance: weak rows first, then the
@@ -80,7 +80,7 @@ def draw_factors(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
     """Loadings (p, d) and factors (d, n) underlying one dataset."""
     n, p = spec.n_rows, spec.n_cols
     d = min(n, p)
-    gen = RngStream(spec.seed).generator()
+    gen = generator(spec.seed)
     loadings = gen.standard_normal((p, d)) * np.sqrt(spec.loading_var)
     scales = np.sqrt(spec.factor_variances())
     factors = gen.standard_normal((d, n)) * scales[:, None]

@@ -32,13 +32,13 @@ handful of dense matrix products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError, _check_count
 from .linalg import MaskedMatrix
-from .rng import RngStream
+from .rng import check_seed, generator
 
 # Initialisation constants: random means with variance 1e-2, isotropic
 # posterior covariances 1e-2 I, bias at the observed column means, noise
@@ -85,28 +85,31 @@ DEFAULT_Q_CAP = 60
 class VbpcaConfig:
     """Settings for one fit.
 
-    ``n_components`` is the number of retained components (at least 2 and
-    at most min(n, p) of the data).  Iteration stops after ``max_iters``
-    sweeps, once the relative change of the reconstruction cost drops
-    below ``conv_tol``, or once that cost (a sum over the observed
-    entries) is at or below the noise-variance floor per observed entry,
-    where the fit is exact up to rounding.
+    ``n_components`` is the number of retained components, at least 2
+    and at most min(n, p) of the data; None, the default, means
+    min(n - 1, p - 1, DEFAULT_Q_CAP), which ``fit`` resolves from the
+    data.  Iteration stops after ``max_iters`` sweeps, once the relative
+    change of the reconstruction cost drops below ``conv_tol``, or once
+    that cost (a sum over the observed entries) is at or below the
+    noise-variance floor per observed entry, where the fit is exact up
+    to rounding.
     """
 
-    n_components: int
+    n_components: int | None = None
     max_iters: int = 80
     conv_tol: float = 1e-6
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_count("n_components", self.n_components, 2)
+        if self.n_components is not None:
+            _check_count("n_components", self.n_components, 2)
         _check_count("max_iters", self.max_iters, 1)
         if not 0 <= self.conv_tol < np.inf:
             raise ConfigError(f"conv_tol must be finite and >= 0, got {self.conv_tol}")
-        RngStream(self.seed)  # validates the seed range
+        check_seed(self.seed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VbpcaModel:
     """Posterior summary of one fit.
 
@@ -164,7 +167,7 @@ class VbpcaModel:
         return self.factors_mean.shape[1], self.loadings_mean.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Reconstruction:
     """Elementwise posterior of the reconstruction: mean and variance of
     a'y + m for every matrix position, both shaped like the data."""
@@ -275,15 +278,18 @@ def fit(data: MaskedMatrix, config: VbpcaConfig) -> VbpcaModel:
     distinct row mask and per distinct column mask; complete data give
     one of each.
 
-    Raises ConfigError if ``n_components`` exceeds min(n, p), DataError if
-    a column has no observed entries, NumericalError if the cost becomes
-    non-finite.
+    The component count is ``config.n_components``, or by default
+    min(n - 1, p - 1, DEFAULT_Q_CAP).  Raises ConfigError unless it lies
+    in [2, min(n, p)], DataError if a column has no observed entries,
+    NumericalError if the cost becomes non-finite.
     """
     n, p = data.shape
     q = config.n_components
-    if q > min(n, p):
+    if q is None:
+        q = min(n - 1, p - 1, DEFAULT_Q_CAP)
+    if not 2 <= q <= min(n, p):
         raise ConfigError(
-            f"n_components={q} exceeds min(n, p)={min(n, p)} for shape {data.shape}"
+            f"n_components={q} out of range [2, {min(n, p)}] for shape {data.shape}"
         )
     col_counts = data.column_observed_counts()
     if np.any(col_counts == 0):
@@ -419,7 +425,7 @@ def _init_state(data: MaskedMatrix, q: int, seed: int):
     """
     n, p = data.shape
     cap = min(n, p)
-    gen = RngStream(seed).generator()
+    gen = generator(seed)
     loadings = (gen.standard_normal((p, cap)) * _INIT_STD)[:, :q].copy()
     factors = (gen.standard_normal((n, cap)) * _INIT_STD)[:, :q].copy()
     bias = data.column_means()
@@ -471,19 +477,12 @@ def reconstruct(model: VbpcaModel) -> Reconstruction:
     return Reconstruction(mean=_freeze(mean), var=_freeze(var))
 
 
-def select_n_components(
-    data: MaskedMatrix, config: VbpcaConfig, q_max: int | None = None
-) -> VbpcaModel:
-    """Fit the model at the largest component count and return the fit.
+def select_n_components(data: MaskedMatrix, config: VbpcaConfig) -> VbpcaModel:
+    """The fit of an analysis: ``fit(data, config)``, by default at the
+    largest count that leaves one dimension to the noise model.
 
     No separate count selection is needed: the per-component prior
     variances withdraw the components the data do not support, so a fit
-    at a larger count keeps the supported ones and prunes the rest.  The
-    count is ``q_max`` if given, else min(n - 1, p - 1, DEFAULT_Q_CAP):
-    one dimension is left to the noise model.  ``config.n_components``
-    is ignored; the other settings are used as given.
+    at a larger count keeps the supported ones and prunes the rest.
     """
-    n, p = data.shape
-    if q_max is None:
-        q_max = min(n - 1, p - 1, DEFAULT_Q_CAP)
-    return fit(data, replace(config, n_components=q_max))
+    return fit(data, config)

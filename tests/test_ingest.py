@@ -103,6 +103,10 @@ class TestSchemaFile:
         path.write_text("")
         with pytest.raises(LoadError):
             read_schema(path)
+        # A misspelt "numeric" must not load the ordinal as indicators.
+        write_lines(path, ["height continuous", "q ordinal lo,mid,hi numerc"])
+        with pytest.raises(LoadError, match="line 2.*'numerc'"):
+            read_schema(path)
 
 
 class TestLoadCsv:

@@ -1,5 +1,6 @@
 """Masked matrices, the masked Frobenius distance behind the tests'
-masked error, symmetric eigenvalues."""
+masked error, symmetric eigenvalues and the rank cutoff that zeroes their
+rounding noise."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import frobenius_sq_masked
-from sigpca import MaskedMatrix, NumericalError, ShapeError, sym_eigvals
+from sigpca import MaskedMatrix, NumericalError, ShapeError
+from sigpca.linalg import sym_eigvals
+from sigpca.significance import _rank_cutoff, _top_eigenvalues
 
 
 class TestMaskedMatrix:
@@ -107,6 +110,11 @@ class TestFrobeniusSqMasked:
 
 
 class TestSymEigvals:
+    """``sym_eigvals`` returns eigenvalues as computed; the tests of
+    nonnegativity and of the rounding tail go through
+    ``significance._top_eigenvalues`` and ``_rank_cutoff``, the one rule
+    that zeroes eigenvalues."""
+
     def test_descending_order_and_trace(self):
         gen = np.random.default_rng(5)
         for _ in range(10):
@@ -124,30 +132,21 @@ class TestSymEigvals:
         gen = np.random.default_rng(6)
         for _ in range(10):
             x = gen.standard_normal((4, 9))
-            g = x @ x.T
-            vals = sym_eigvals(0.5 * (g + g.T))
+            vals = _top_eigenvalues(x, 4)
             assert np.all(vals >= 0.0)
+            assert np.all(np.diff(vals) <= 0)
 
     def test_tiny_negative_rounding_clamped_to_zero(self):
-        # Rank-1 Gram matrix: one positive eigenvalue, rest rounding noise.
-        # The clamp is one-sided: tiny negatives become exactly zero, tiny
-        # positive noise is left alone, so nothing ends up below zero.
-        v = np.array([[1.0, 2.0, 3.0]])
-        g = v.T @ v
-        vals = sym_eigvals(g)
-        assert vals[0] == pytest.approx(14.0, rel=1e-12)
-        assert np.all(vals >= 0.0)
-        assert np.all(vals[1:] <= 1e-9 * 14.0)
+        # Rank-1 Gram matrix: one positive eigenvalue, the rest rounding
+        # noise of either sign, which the rank cutoff makes exactly zero.
+        x = np.outer([1.0, 2.0, 3.0], np.ones(4))
+        vals = _top_eigenvalues(x, 3)
+        assert vals[0] == pytest.approx(56.0, rel=1e-12)
+        assert np.array_equal(vals[1:], [0.0, 0.0])
 
     def test_genuinely_indefinite_matrix_keeps_negative_values(self):
         s = np.diag([2.0, -3.0])
         assert np.allclose(sym_eigvals(s), [2.0, -3.0])
-
-    def test_asymmetric_input_rejected(self):
-        with pytest.raises(ShapeError):
-            sym_eigvals(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(ShapeError):
-            sym_eigvals(np.zeros((2, 3)))
 
     def test_non_finite_input_raises_numerical_error(self):
         s = np.array([[np.nan, 0.0], [0.0, 1.0]])
@@ -172,12 +171,6 @@ class TestSymEigvals:
         nested = sym_eigvals(stack[:4].reshape(2, 2, 6, 6))
         assert np.array_equal(nested.reshape(4, 6), vals[:4])
 
-    def test_stack_with_one_asymmetric_matrix_rejected(self):
-        stack = self.gram_stack(8)
-        stack[3, 0, 1] += 1e-3 * np.max(np.abs(stack[3]))
-        with pytest.raises(ShapeError):
-            sym_eigvals(stack)
-
     def test_stack_with_one_non_finite_matrix_raises_numerical_error(self):
         stack = self.gram_stack(9)
         stack[2, 4, 4] = np.inf
@@ -185,19 +178,18 @@ class TestSymEigvals:
             sym_eigvals(stack)
 
     def test_clamp_uses_each_matrix_own_norm(self):
-        # Rank-1 Gram matrices at scales 1e6 and 1e-6, and an indefinite
-        # matrix at scale 1e-6.  Each matrix's tiny negative rounding is
-        # clamped against its own largest eigenvalue; a clamp sized to the
-        # stack's largest (1.4e7) would also wipe out the genuine -1e-6.
+        # Rank-1 Gram matrices at scales 1e6 and 1e-6, and a diagonal one
+        # with a negative entry.  Each spectrum is cut against its own
+        # leading value; a cutoff sized to the stack's largest (1.4e7)
+        # would also wipe out the leading 1.4e-5 of the second matrix.
         v = np.array([[1.0, 2.0, 3.0]])
         base = v.T @ v
-        indefinite = np.diag([2e-6, -1e-6, 1e-7])
-        stack = np.stack([1e6 * base, 1e-6 * base, indefinite])
-        vals = sym_eigvals(stack)
+        diagonal = np.diag([2e-6, -1e-6, 1e-7])
+        stack = np.stack([1e6 * base, 1e-6 * base, diagonal])
+        vals = _rank_cutoff(sym_eigvals(stack), 0.0)
         for i in range(3):
-            assert np.array_equal(vals[i], sym_eigvals(stack[i]))
+            assert np.array_equal(vals[i], _rank_cutoff(sym_eigvals(stack[i]), 0.0))
         assert vals[0, 0] == pytest.approx(14e6, rel=1e-12)
         assert vals[1, 0] == pytest.approx(14e-6, rel=1e-12)
-        assert np.all(vals[:2] >= 0.0)
-        # A negative eigenvalue of half the matrix's own norm survives.
-        assert np.array_equal(vals[2], [2e-6, 1e-7, -1e-6])
+        assert np.array_equal(vals[:2, 1:], np.zeros((2, 2)))
+        assert np.array_equal(vals[2], [2e-6, 1e-7, 0.0])

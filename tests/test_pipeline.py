@@ -13,7 +13,6 @@ from sigpca import (
     MaskedMatrix,
     SyntheticSpec,
     ValidationRun,
-    analyze_dataset,
     analyze_matrix,
     analyze_numeric,
     build_report,
@@ -25,7 +24,7 @@ from sigpca import (
     summarize_validation,
 )
 from sigpca import pipeline
-from sigpca.ingest import ColumnSchema, Dataset
+from sigpca.ingest import ColumnSchema, Dataset, preprocess
 
 FAST = dict(n_null_samples=150, seed=3)
 
@@ -66,9 +65,12 @@ class TestAnalysisOptions:
 
 class TestAnalyzeMatrix:
     def test_uncentered_input_rejected(self):
-        data = MaskedMatrix.complete(np.random.default_rng(0).standard_normal((20, 6)) + 5.0)
-        with pytest.raises(DataError, match="centered"):
-            analyze_matrix(data, AnalysisOptions(**FAST))
+        x = np.random.default_rng(0).standard_normal((20, 6))
+        # The bound is relative to the largest entry, so shrinking the
+        # data does not hide means of several sds.
+        for values in (x + 5.0, 2.0**-30 * (x + 3.0)):
+            with pytest.raises(DataError, match="centered"):
+                analyze_matrix(MaskedMatrix.complete(values), AnalysisOptions(**FAST))
 
     def test_result_fields_are_coherent(self, small_result):
         result, _ = small_result
@@ -243,7 +245,7 @@ class TestRetiredNulls:
 
         texts = []
         for _ in range(2):
-            result = analyze_dataset(dataset, options)
+            result = analyze_matrix(preprocess(dataset).matrix, options)
             texts.append(report_to_json(build_report(result, "typed", options)))
         assert texts[0] == texts[1]
         report = json.loads(texts[0], parse_constant=reject_constant)
@@ -270,7 +272,7 @@ class TestRetiredNulls:
 
 
 class TestSchemaRoute:
-    def test_analyze_dataset_runs_preprocessing_first(self):
+    def test_preprocessed_dataset_expands_before_analysis(self):
         gen = np.random.default_rng(16)
         n = 30
         base = gen.standard_normal(n)
@@ -286,7 +288,8 @@ class TestSchemaRoute:
             ),
             matrix=MaskedMatrix.complete(np.column_stack([values, levels])),
         )
-        result = analyze_dataset(dataset, AnalysisOptions(n_null_samples=100, seed=2))
+        options = AnalysisOptions(n_null_samples=100, seed=2)
+        result = analyze_matrix(preprocess(dataset).matrix, options)
         # One-hot expansion turns the binary column into two indicators.
         assert result.recon.mean.shape == (n, 6)
 

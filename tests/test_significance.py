@@ -30,7 +30,7 @@ from sigpca import (
 )
 from sigpca import significance
 from sigpca.linalg import sym_eigvals
-from sigpca.rng import RngStream
+from sigpca.rng import generator
 from sigpca.significance import _gram, _top_eigenvalues
 
 descending_spectra = st.lists(
@@ -111,6 +111,9 @@ class TestSpectrum:
             Spectrum([2.0, -1.0])
         with pytest.raises(ShapeError):
             Spectrum(np.ones((2, 2)))
+        for bad in ([np.nan, 1.0], [np.inf, 1.0], [2.0, np.nan]):
+            with pytest.raises(ShapeError, match="finite"):
+                Spectrum(bad)
 
     def test_floor_is_recorded_and_checked(self):
         assert Spectrum([4.0, 2.0]).floor == 0.0
@@ -327,7 +330,7 @@ def full_draw_reference(recon, q, k, cfg, energy_floor=0.0):
     shape = (cfg.n_null_samples, q)
     posterior, null = np.empty(shape), np.empty(shape)
     for row in range(cfg.n_null_samples):
-        gen_k = RngStream(cfg.seed, row).generator()
+        gen_k = generator(cfg.seed, row)
         noise = np.sqrt(recon.var) * gen_k.standard_normal((n, p))
         lam = _top_eigenvalues(recon.mean + noise, q, energy_floor)
         posterior[row] = null[row] = normalized_eigenvalues(lam)
@@ -506,7 +509,7 @@ class TestSharedNoiseGram:
         u, s, vt = np.linalg.svd(recon.mean, full_matrices=False)
         bases = [(u[:, :r] * s[:r]) @ vt[:r] for r in range(k)]
         for row, stack in enumerate(stacks):
-            gen_k = RngStream(cfg.seed, row).generator()
+            gen_k = generator(cfg.seed, row)
             noise = np.sqrt(recon.var) * gen_k.standard_normal((n, p))
             assert stack.shape[1:] == (min(n, p),) * 2
             assert 2 <= stack.shape[0] <= 1 + k

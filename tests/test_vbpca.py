@@ -40,6 +40,7 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             VbpcaConfig(n_components=2.5)
         assert VbpcaConfig(n_components=2).n_components == 2
+        assert VbpcaConfig().n_components is None
 
     def test_non_integer_counts_rejected(self):
         with pytest.raises(ConfigError):
@@ -59,6 +60,9 @@ class TestConfigValidation:
         data = complete(np.zeros((5, 3)) + np.eye(5, 3))
         with pytest.raises(ConfigError):
             fit_q(data, 4)
+        # The default count, min(n - 1, p - 1, 60), is 1 on a two-row matrix.
+        with pytest.raises(ConfigError):
+            fit(complete(np.eye(2, 5)), VbpcaConfig())
 
     def test_all_missing_column_rejected(self):
         values = np.ones((6, 3))
@@ -377,33 +381,33 @@ class TestSelectNComponents:
         counts = []
 
         def counting_fit(data, config):
-            counts.append(config.n_components)
-            return fit(data, config)
+            model = fit(data, config)
+            counts.append(model.n_components)
+            return model
 
         monkeypatch.setattr(vbpca, "fit", counting_fit)
         data = complete(center_cols(rank_k_matrix(30, 10, 2, seed=12)))
         analyze_matrix(data, AnalysisOptions(n_null_samples=100, seed=1))
         assert counts == [9]
 
-    def test_default_count_is_min_of_dimensions_less_one_and_60(self, monkeypatch):
+    def test_default_count_is_min_of_dimensions_less_one_and_60(self):
+        gen = np.random.default_rng(20)
         counts = []
-        monkeypatch.setattr(vbpca, "fit", lambda data, config: counts.append(config.n_components))
-        cfg = VbpcaConfig(n_components=2)
         for shape in [(20, 8), (8, 20), (70, 65), (3, 40)]:
-            select_n_components(MaskedMatrix.complete(np.zeros(shape)), cfg)
+            data = complete(center_cols(gen.standard_normal(shape)))
+            counts.append(fit(data, VbpcaConfig(max_iters=1)).n_components)
         assert counts == [7, 7, 60, 2]
 
     def test_invalid_ranges_rejected(self):
         data = complete(center_cols(rank_k_matrix(10, 6, 2, seed=13)))
-        cfg = VbpcaConfig(n_components=2)
         for q_max in (0, 1, 7):
             with pytest.raises(ConfigError):
-                select_n_components(data, cfg, q_max=q_max)
-        assert select_n_components(data, cfg, q_max=6).n_components == 6
+                select_n_components(data, VbpcaConfig(n_components=q_max))
+        assert select_n_components(data, VbpcaConfig(n_components=6)).n_components == 6
 
     def test_selected_model_matches_reported_count(self):
         data = complete(center_cols(rank_k_matrix(20, 10, 2, seed=15)))
-        model = select_n_components(data, VbpcaConfig(n_components=2, seed=4), q_max=5)
+        model = select_n_components(data, VbpcaConfig(n_components=5, seed=4))
         assert model.n_components == 5
         direct = fit_q(data, 5, seed=4)
         assert np.array_equal(model.cost_trace, direct.cost_trace)
@@ -420,7 +424,7 @@ class TestSelectNComponents:
         # largest count loses nothing against the fit at the true rank.
         for q in (4, 5, 6):
             assert abs(costs[q] - costs[3]) <= 1e-6 * energy
-        model = select_n_components(data, VbpcaConfig(n_components=2), q_max=6)
+        model = select_n_components(data, VbpcaConfig(n_components=6))
         assert float(model.cost_trace[-1]) == costs[6]
 
     def test_full_depth_error_not_worse_than_shallower_fits(self):
@@ -429,7 +433,7 @@ class TestSelectNComponents:
             rank_k_matrix(20, 10, 3, seed=18) + 0.5 * gen.standard_normal((20, 10))
         )
         data = complete(noisy)
-        model = select_n_components(data, VbpcaConfig(n_components=2), q_max=10)
+        model = select_n_components(data, VbpcaConfig(n_components=10))
         full = float(model.cost_trace[-1])
         for q in range(2, 10):
             assert full <= float(fit_q(data, q).cost_trace[-1]) * 1.01 + 1e-12
