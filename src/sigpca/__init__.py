@@ -21,10 +21,7 @@ from .errors import (
 from .ingest import (
     ColumnSchema,
     Dataset,
-    center_scale,
-    drop_sparse_columns,
     load_csv,
-    one_hot,
     preprocess,
     read_schema,
 )
@@ -53,7 +50,7 @@ from .significance import (
     reconstruction_spectrum,
     sample_rank_null_spectra,
 )
-from .synthetic import SyntheticSpec, draw_factors, generate, scenario_grid
+from .synthetic import SyntheticSpec, generate, scenario_grid
 from .vbpca import (
     Reconstruction,
     VbpcaConfig,
@@ -89,19 +86,15 @@ __all__ = [
     "analyze_numeric",
     "build_report",
     "format_p",
-    "center_scale",
     "count_significant",
     "csv_table",
     "derive_seed",
-    "draw_factors",
-    "drop_sparse_columns",
     "fit",
     "generate",
     "generator",
     "holm_bonferroni",
     "load_csv",
     "normalized_eigenvalues",
-    "one_hot",
     "preprocess",
     "read_schema",
     "reconstruct",

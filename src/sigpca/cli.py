@@ -213,8 +213,8 @@ def build_parser() -> _Parser:
         "--schema",
         default=None,
         help=(
-            "schema file declaring column kinds; typed columns get the full "
-            "preprocessing chain (one-hot, centering, scaling of continuous "
+            "schema file declaring column kinds; typed columns get one "
+            "preprocessing pass (one-hot, centering, scaling of continuous "
             "columns).  Without a schema the file is read as a numeric matrix "
             "on one common scale and columns are centered only"
         ),

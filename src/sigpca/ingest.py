@@ -1,5 +1,5 @@
-"""CSV ingest: one CSV reader with two entry points, and the fixed
-preprocessing chain.
+"""CSV ingest: one CSV reader with two entry points, and one
+preprocessing pass for typed tables.
 
 :func:`load_csv` (typed tables, checked against a schema) and
 :func:`load_matrix_csv` (plain numeric matrices) share one reader: it
@@ -7,16 +7,13 @@ strips the header, asks the entry point for one cell parser per column,
 masks missing tokens and reports bad cells by row and column.  The two
 sparse-column filters likewise share one keep computation.
 
-Preprocessing always runs in the same order: drop columns that are
-mostly missing, expand discrete columns to indicator columns, then
-center every column (and scale continuous ones to unit sample standard
-deviation).  Each step appends a line to the dataset's provenance log.
-
-Discrete columns are stored internally as level indices; indicator
-expansion works off the declared level order.
-Ordinal columns are expanded like categorical ones unless their schema
-entry sets ``as_numeric``, in which case the level index is kept as a
-numeric code and the column is centered but never scaled.
+:func:`preprocess` visits each source column once: it drops the column
+if it is mostly missing, encodes it as its output block, and centers
+(and, if continuous, scales) that block.  Discrete columns are stored
+as level indices and become one indicator per declared level, in level
+order; ordinal columns whose schema entry sets ``as_numeric`` keep the
+level index as a numeric code instead.  The pass appends one line to
+the dataset's provenance log.
 
 Schema-driven ingest is for heterogeneous tables whose columns live on
 unrelated scales.  Numeric matrices already on one common scale (the
@@ -31,7 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,9 +113,6 @@ class Dataset:
     @property
     def column_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.schema)
-
-    def with_step(self, step: str) -> "Dataset":
-        return replace(self, provenance=self.provenance + (step,))
 
 
 def _names(columns) -> str:
@@ -263,7 +257,7 @@ def drop_sparse_matrix_columns(
     matrix: MaskedMatrix, threshold: float = DEFAULT_SPARSE_THRESHOLD
 ) -> MaskedMatrix:
     """Drop matrix columns whose missing fraction strictly exceeds
-    ``threshold``; schema-less counterpart of :func:`drop_sparse_columns`."""
+    ``threshold``; schema-less counterpart of the drop in :func:`preprocess`."""
     keep = _dense_columns(matrix, threshold)
     if np.all(keep):
         return matrix
@@ -282,116 +276,77 @@ def center_columns(matrix: MaskedMatrix) -> MaskedMatrix:
     return MaskedMatrix(values, matrix.mask)
 
 
-def drop_sparse_columns(
-    dataset: Dataset, threshold: float = DEFAULT_SPARSE_THRESHOLD
-) -> Dataset:
-    """Drop columns whose missing fraction strictly exceeds ``threshold``."""
-    mat = dataset.matrix
-    keep = _dense_columns(mat, threshold)
-    dropped = [c.name for c, k in zip(dataset.schema, keep) if not k]
-    out = Dataset(
-        schema=tuple(c for c, k in zip(dataset.schema, keep) if k),
-        matrix=MaskedMatrix(mat.values[:, keep], mat.mask[:, keep]),
-        provenance=dataset.provenance,
-    )
-    return out.with_step(
-        f"drop_sparse_columns threshold={threshold} dropped={_names(dropped)}"
-    )
-
-
-def one_hot(dataset: Dataset) -> Dataset:
-    """Expand discrete columns into one indicator column per level.
-
-    A missing source cell is missing across its whole indicator block.
-    Ordinal columns flagged ``as_numeric`` pass through unchanged, as do
-    continuous columns.
-    """
-    mat = dataset.matrix
-    new_schema: list[ColumnSchema] = []
-    new_values: list[np.ndarray] = []
-    new_mask: list[np.ndarray] = []
-    encoded: list[str] = []
-    for j, col in enumerate(dataset.schema):
-        if not col.is_discrete or (col.kind == "ordinal" and col.as_numeric):
-            new_schema.append(col)
-            new_values.append(mat.values[:, j])
-            new_mask.append(mat.mask[:, j])
-            continue
-        encoded.append(col.name)
-        observed = mat.mask[:, j]
-        idx = mat.values[:, j]
-        for lvl_pos, lvl in enumerate(col.levels):
-            new_schema.append(
-                ColumnSchema(name=f"{col.name}={lvl}", kind="binary", levels=("0", "1"))
-            )
-            new_values.append(np.where(observed & (idx == lvl_pos), 1.0, 0.0))
-            new_mask.append(observed.copy())
-    out = Dataset(
-        schema=tuple(new_schema),
-        matrix=MaskedMatrix(
-            np.column_stack(new_values), np.column_stack(new_mask)
-        ),
-        provenance=dataset.provenance,
-    )
-    return out.with_step(f"one_hot encoded={_names(encoded)}")
-
-
-def center_scale(dataset: Dataset) -> Dataset:
-    """Center every column on its observed mean; scale continuous columns
-    to unit sample (n-1) standard deviation.
-
-    Indicator and numeric ordinal columns are centered but never scaled.
-    Continuous columns with zero observed variance carry no information
-    once centered and are dropped, with a provenance warning.  Every
-    surviving column is plain continuous afterwards.
-    """
-    mat = dataset.matrix
-    counts = mat.column_observed_counts()
-    for col, count in zip(dataset.schema, counts):
-        if count < 2:
-            raise DataError(
-                f"column {col.name!r} has {count} observed entries; need at least 2"
-            )
-    keep_cols: list[int] = []
-    dropped: list[str] = []
-    scaled: list[str] = []
-    values = mat.values.copy()
-    for j, col in enumerate(dataset.schema):
-        obs = mat.mask[:, j]
-        column = values[obs, j]
-        mean = column.mean()
-        column = column - mean
-        if col.kind == "continuous":
-            std = float(np.sqrt(np.dot(column, column) / (column.size - 1)))
-            if std <= _ZERO_STD_RTOL * max(1.0, abs(mean)):
-                dropped.append(col.name)
-                continue
-            column = column / std
-            scaled.append(col.name)
-        keep_cols.append(j)
-        values[obs, j] = column
-        values[~obs, j] = 0.0
-    if not keep_cols:
-        raise DataError("no columns left after dropping zero-variance columns")
-    keep = np.asarray(keep_cols)
-    out = Dataset(
-        schema=tuple(
-            ColumnSchema(name=dataset.schema[j].name, kind="continuous") for j in keep
-        ),
-        matrix=MaskedMatrix(values[:, keep], mat.mask[:, keep]),
-        provenance=dataset.provenance,
-    )
-    return out.with_step(
-        f"center_scale std_convention=sample(n-1) scaled={_names(scaled)} "
-        f"dropped_zero_variance={_names(dropped)}"
-    )
-
-
 def preprocess(
     dataset: Dataset, sparse_threshold: float = DEFAULT_SPARSE_THRESHOLD
 ) -> Dataset:
-    """The full fixed-order chain: drop sparse, one-hot, center/scale."""
-    return center_scale(one_hot(drop_sparse_columns(dataset, sparse_threshold)))
+    """Turn a typed dataset into centered continuous columns, one source
+    column at a time.
+
+    A column missing more than ``sparse_threshold`` of its rows is
+    dropped.  A kept column becomes its output block: a discrete column
+    gives one indicator per declared level, computed on its observed
+    rows, so a missing cell is missing across the whole block; an
+    ordinal flagged ``as_numeric`` keeps its level index, and a
+    continuous column passes through.  Every output column is centered
+    on its observed mean.  Continuous columns are also scaled to unit
+    sample (n-1) standard deviation, and dropped if that is zero.  Each
+    kept column needs at least 2 observed entries.  One provenance line
+    names the sparse, encoded, scaled and zero-variance columns.
+    """
+    mat = dataset.matrix
+    keep = _dense_columns(mat, sparse_threshold)
+    names: list[str] = []
+    columns: list[np.ndarray] = []
+    masks: list[np.ndarray] = []
+    sparse: list[str] = []
+    encoded: list[str] = []
+    scaled: list[str] = []
+    constant: list[str] = []
+    for j, col in enumerate(dataset.schema):
+        if not keep[j]:
+            sparse.append(col.name)
+            continue
+        obs = mat.mask[:, j]
+        observed = mat.values[obs, j]
+        if observed.size < 2:
+            raise DataError(
+                f"column {col.name!r} has {observed.size} observed entries; need at least 2"
+            )
+        if col.is_discrete and not col.as_numeric:
+            encoded.append(col.name)
+            block = [
+                (f"{col.name}={lvl}", (observed == i).astype(np.float64))
+                for i, lvl in enumerate(col.levels)
+            ]
+        else:
+            block = [(col.name, observed)]
+        for name, column in block:
+            mean = column.mean()
+            column = column - mean
+            if col.kind == "continuous":
+                std = float(np.sqrt(np.dot(column, column) / (column.size - 1)))
+                if std <= _ZERO_STD_RTOL * max(1.0, abs(mean)):
+                    constant.append(name)
+                    continue
+                column = column / std
+                scaled.append(name)
+            full = np.zeros(mat.n_rows)
+            full[obs] = column
+            names.append(name)
+            columns.append(full)
+            masks.append(obs)
+    if not columns:
+        raise DataError("no columns left after dropping zero-variance columns")
+    step = (
+        f"preprocess threshold={sparse_threshold} dropped_sparse={_names(sparse)} "
+        f"encoded={_names(encoded)} std_convention=sample(n-1) "
+        f"scaled={_names(scaled)} dropped_zero_variance={_names(constant)}"
+    )
+    return Dataset(
+        schema=tuple(ColumnSchema(name=name, kind="continuous") for name in names),
+        matrix=MaskedMatrix(np.column_stack(columns), np.column_stack(masks)),
+        provenance=dataset.provenance + (step,),
+    )
 
 
 def read_schema(path) -> tuple[ColumnSchema, ...]:

@@ -28,8 +28,9 @@ class MaskedMatrix:
 
     ``mask[i, j]`` is True where ``values[i, j]`` is observed.  Values at
     masked-out positions are normalised to zero on construction, and both
-    arrays are frozen, so equal masked matrices are bitwise equal and safe
-    to share across threads.
+    arrays are stored C-contiguous and frozen, so equal masked matrices are
+    bitwise equal, an analysis does not depend on the caller's memory
+    layout, and both are safe to share across threads.
     """
 
     values: np.ndarray
@@ -46,8 +47,8 @@ class MaskedMatrix:
             )
         if not np.all(np.isfinite(values[mask])):
             raise ShapeError("observed entries must be finite")
-        values = np.where(mask, values, 0.0)
-        mask = mask.copy()
+        values = np.ascontiguousarray(np.where(mask, values, 0.0))
+        mask = mask.copy(order="C")
         values.flags.writeable = False
         mask.flags.writeable = False
         object.__setattr__(self, "values", values)

@@ -9,7 +9,7 @@ additive noise beyond the weak components, and every entry is observed.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -59,39 +59,43 @@ class SyntheticSpec:
             )
         check_seed(self.seed)
 
-    def factor_variances(self) -> np.ndarray:
-        """Diagonal of the factor covariance: weak rows first, then the
-        strong rows in decreasing order of variance."""
-        d = min(self.n_rows, self.n_cols)
-        w = self.n_significant
-        variances = np.full(d, self.weak_var)
-        variances[d - w :] = self.strong_var_base - self.strong_var_step * np.arange(w)
-        return variances
-
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "SyntheticSpec":
+    def from_dict(cls, payload) -> "SyntheticSpec":
+        """Build a spec from a JSON object; a payload that is not an
+        object, or that names unknown fields or omits required ones,
+        raises ConfigError naming them."""
+        if not isinstance(payload, dict):
+            raise ConfigError(
+                f"a synthetic spec must be a JSON object, got {type(payload).__name__}"
+            )
+        known = {f.name: f.default is MISSING for f in fields(cls)}
+        unknown = sorted(set(payload) - set(known))
+        missing = [n for n, required in known.items() if required and n not in payload]
+        if unknown:
+            raise ConfigError(f"unknown synthetic spec fields: {', '.join(unknown)}")
+        if missing:
+            raise ConfigError(f"missing synthetic spec fields: {', '.join(missing)}")
         return cls(**payload)
 
 
-def draw_factors(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Loadings (p, d) and factors (d, n) underlying one dataset."""
-    n, p = spec.n_rows, spec.n_cols
+def generate(spec: SyntheticSpec) -> MaskedMatrix:
+    """Materialise the dataset described by ``spec``, fully observed.
+
+    Loadings (p, d) are drawn before the factors (d, n), whose variances
+    are the ladder of the module docstring; the data are
+    (loadings @ factors).T.
+    """
+    n, p, w = spec.n_rows, spec.n_cols, spec.n_significant
     d = min(n, p)
+    variances = np.full(d, spec.weak_var)
+    variances[d - w :] = spec.strong_var_base - spec.strong_var_step * np.arange(w)
     gen = generator(spec.seed)
     loadings = gen.standard_normal((p, d)) * np.sqrt(spec.loading_var)
-    scales = np.sqrt(spec.factor_variances())
-    factors = gen.standard_normal((d, n)) * scales[:, None]
-    return loadings, factors
-
-
-def generate(spec: SyntheticSpec) -> MaskedMatrix:
-    """Materialise the dataset described by ``spec``, fully observed."""
-    loadings, factors = draw_factors(spec)
-    values = (loadings @ factors).T
-    return MaskedMatrix.complete(values)
+    factors = gen.standard_normal((d, n)) * np.sqrt(variances)[:, None]
+    return MaskedMatrix.complete((loadings @ factors).T)
 
 
 def scenario_grid(

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, output files, exit codes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -87,6 +88,26 @@ class TestSynth:
         )
         assert code == 0
         assert (out_dir / "synth_12x5_w2_r0.csv").exists()
+
+    @pytest.mark.parametrize(
+        "payload, named",
+        [
+            ({"n_rows": 12, "n_cols": 5, "n_significant": 2, "bogus": 1}, "unknown.*bogus"),
+            ({"n_rows": 12}, "missing.*n_cols, n_significant"),
+            ([12, 5, 2], "JSON object, got list"),
+        ],
+        ids=["unknown-field", "missing-fields", "list"],
+    )
+    def test_malformed_spec_json_fails(self, tmp_path, capsys, payload, named):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(payload))
+        code = run_cli(
+            ["synth", "--spec-json", str(spec_path), "--out-dir", str(tmp_path / "x")]
+        )
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("sigpca: error:")
+        assert re.search(named, lines[0])
 
     def test_missing_shape_flags_fail(self, tmp_path):
         code = run_cli(["synth", "--rows", "10", "--out-dir", str(tmp_path / "x")])

@@ -1,4 +1,4 @@
-"""Schema-driven CSV ingest, the preprocessing chain, and the plain
+"""Schema-driven CSV ingest, the one preprocessing pass, and the plain
 numeric matrix route."""
 
 import numpy as np
@@ -11,10 +11,7 @@ from sigpca import (
     Dataset,
     LoadError,
     MaskedMatrix,
-    center_scale,
-    drop_sparse_columns,
     load_csv,
-    one_hot,
     preprocess,
     read_schema,
 )
@@ -190,21 +187,24 @@ class TestOneHot:
             [ColumnSchema("c", "categorical", levels=("x", "y", "z"))],
             [[0.0], [2.0], [1.0]],
         )
-        out = one_hot(ds)
+        out = preprocess(ds)
         assert out.column_names == ("c=x", "c=y", "c=z")
-        assert np.array_equal(
-            out.matrix.values, [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
-        )
+        indicators = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        assert np.allclose(out.matrix.values, indicators - 1.0 / 3.0)
 
     def test_missing_cell_masks_whole_indicator_block(self):
         ds = make_dataset(
             [ColumnSchema("c", "binary", levels=("no", "yes")), ColumnSchema("h", "continuous")],
-            [[0.0, 1.0], [1.0, 2.0]],
-            mask=[[False, True], [True, True]],
+            [[0.0, 1.0], [1.0, 2.0], [0.0, 4.0]],
+            mask=[[False, True], [True, True], [True, True]],
         )
-        out = one_hot(ds)
+        out = preprocess(ds)
         assert out.column_names == ("c=no", "c=yes", "h")
-        assert np.array_equal(out.matrix.mask[:, :2], [[False, False], [True, True]])
+        assert np.array_equal(
+            out.matrix.mask[:, :2], [[False, False], [True, True], [True, True]]
+        )
+        assert np.array_equal(out.matrix.values[0, :2], [0.0, 0.0])
+        assert "encoded=c " in out.provenance[-1]
 
     def test_numeric_ordinals_and_continuous_pass_through(self):
         ds = make_dataset(
@@ -212,17 +212,22 @@ class TestOneHot:
                 ColumnSchema("g", "ordinal", levels=("a", "b", "c"), as_numeric=True),
                 ColumnSchema("h", "continuous"),
             ],
-            [[2.0, 5.0], [0.0, 6.0]],
+            [[2.0, 5.0], [0.0, 6.0], [1.0, 8.0]],
         )
-        out = one_hot(ds)
+        out = preprocess(ds)
         assert out.column_names == ("g", "h")
-        assert np.array_equal(out.matrix.values, ds.matrix.values)
+        # The level index is kept as a code: centered, never scaled.
+        assert np.array_equal(out.matrix.values[:, 0], [1.0, -1.0, 0.0])
+        h = np.array([5.0, 6.0, 8.0])
+        assert np.allclose(out.matrix.values[:, 1], (h - h.mean()) / h.std(ddof=1))
+        assert "encoded=- " in out.provenance[-1]
+        assert "scaled=h " in out.provenance[-1]
 
 
 class TestCenterScale:
     def test_continuous_column_standardized_to_unit_sample_std(self):
         ds = make_dataset([ColumnSchema("h", "continuous")], [[1.0], [2.0], [3.0]])
-        out = center_scale(ds)
+        out = preprocess(ds)
         # Sample (n-1) standard deviation of [1, 2, 3] is exactly 1.
         assert np.allclose(out.matrix.values[:, 0], [-1.0, 0.0, 1.0])
         column = out.matrix.values[:, 0]
@@ -231,10 +236,13 @@ class TestCenterScale:
 
     def test_indicator_column_centered_but_not_scaled(self):
         ds = make_dataset(
-            [ColumnSchema("c=x", "binary", levels=("0", "1"))], [[1.0], [0.0], [0.0]]
+            [ColumnSchema("c", "binary", levels=("x", "y"))], [[0.0], [1.0], [1.0]]
         )
-        out = center_scale(ds)
+        out = preprocess(ds)
+        assert out.column_names == ("c=x", "c=y")
         assert np.allclose(out.matrix.values[:, 0], [2.0 / 3.0, -1.0 / 3.0, -1.0 / 3.0])
+        assert np.allclose(out.matrix.values[:, 1], [-2.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0])
+        assert "scaled=- " in out.provenance[-1]
 
     def test_centering_uses_observed_entries_only(self):
         ds = make_dataset(
@@ -242,7 +250,7 @@ class TestCenterScale:
             [[1.0], [3.0], [99.0]],
             mask=[[True], [True], [False]],
         )
-        out = center_scale(ds)
+        out = preprocess(ds)
         observed = out.matrix.values[:2, 0]
         assert observed.sum() == pytest.approx(0.0, abs=1e-12)
         assert out.matrix.values[2, 0] == 0.0
@@ -252,23 +260,38 @@ class TestCenterScale:
             [ColumnSchema("h", "continuous"), ColumnSchema("k", "continuous")],
             [[5.0, 1.0], [5.0, 2.0], [5.0, 4.0]],
         )
-        out = center_scale(ds)
+        out = preprocess(ds)
         assert out.column_names == ("k",)
         assert any("dropped_zero_variance=h" in step for step in out.provenance)
 
     def test_all_kinds_become_continuous(self):
         ds = make_dataset(
-            [ColumnSchema("c=x", "binary", levels=("0", "1"))], [[1.0], [0.0], [1.0]]
+            [
+                ColumnSchema("h", "continuous"),
+                ColumnSchema("c", "categorical", levels=("x", "y", "z")),
+                ColumnSchema("o", "ordinal", levels=("lo", "hi")),
+                ColumnSchema("g", "ordinal", levels=("lo", "hi"), as_numeric=True),
+                ColumnSchema("b", "binary", levels=("no", "yes")),
+            ],
+            [[1.0, 0.0, 0.0, 1.0, 1.0], [2.0, 1.0, 1.0, 0.0, 0.0], [4.0, 2.0, 1.0, 1.0, 1.0]],
         )
-        out = center_scale(ds)
-        assert all(c.kind == "continuous" for c in out.schema)
+        out = preprocess(ds)
+        assert len(out.schema) == 9
+        assert all(c.kind == "continuous" and c.levels is None for c in out.schema)
 
     def test_columns_need_two_observed_entries(self):
         ds = make_dataset(
             [ColumnSchema("h", "continuous")], [[1.0], [2.0]], mask=[[True], [False]]
         )
-        with pytest.raises(DataError, match="at least 2"):
-            center_scale(ds)
+        with pytest.raises(DataError, match="'h' has 1 observed entries; need at least 2"):
+            preprocess(ds)
+        # A discrete column is named by its source column, not an indicator.
+        ds = make_dataset(
+            [ColumnSchema("c", "binary", levels=("x", "y"))], [[1.0], [0.0]],
+            mask=[[True], [False]],
+        )
+        with pytest.raises(DataError, match="'c' has 1 observed entries"):
+            preprocess(ds)
 
 
 class TestDropSparseColumns:
@@ -279,19 +302,21 @@ class TestDropSparseColumns:
             mask=[[True, False], [True, False], [True, True], [True, True]],
         )
         # Column b is 50% missing: exactly at the threshold, so it stays.
-        assert drop_sparse_columns(ds, 0.5).column_names == ("a", "b")
-        assert drop_sparse_columns(ds, 0.49).column_names == ("a",)
+        assert preprocess(ds, 0.5).column_names == ("a", "b")
+        out = preprocess(ds, 0.49)
+        assert out.column_names == ("a",)
+        assert "threshold=0.49 dropped_sparse=b " in out.provenance[-1]
 
     def test_both_filters_keep_the_same_columns(self):
-        # Columns b and c miss 1 and 2 of 3 rows; a column whose missing
+        # Columns b and c miss 2 and 4 of 6 rows; a column whose missing
         # fraction equals the threshold stays.
         ds = make_dataset(
             [ColumnSchema(name, "continuous") for name in "abc"],
-            np.arange(9.0).reshape(3, 3),
-            mask=[[True, True, False], [True, False, False], [True, True, True]],
+            np.arange(18.0).reshape(6, 3),
+            mask=[[True, True, False], [True, False, False], [True, True, True]] * 2,
         )
         for threshold, names in [(1 / 3, "ab"), (0.5, "ab"), (2 / 3, "abc"), (1.0, "abc")]:
-            assert drop_sparse_columns(ds, threshold).column_names == tuple(names)
+            assert preprocess(ds, threshold).column_names == tuple(names)
             kept = drop_sparse_matrix_columns(ds.matrix, threshold)
             keep = [ds.column_names.index(name) for name in names]
             assert np.array_equal(kept.values, ds.matrix.values[:, keep])
@@ -314,15 +339,15 @@ class TestDropSparseColumns:
             [[1.0], [2.0], [3.0]],
             mask=[[True], [False], [False]],
         )
-        with pytest.raises(DataError):
-            drop_sparse_columns(ds, 0.1)
+        with pytest.raises(DataError, match="every column exceeds"):
+            preprocess(ds, 0.1)
 
     def test_threshold_validation(self):
         ds = make_dataset([ColumnSchema("a", "continuous")], [[1.0], [2.0]])
         with pytest.raises(ConfigError):
-            drop_sparse_columns(ds, -0.1)
+            preprocess(ds, -0.1)
         with pytest.raises(ConfigError):
-            drop_sparse_columns(ds, 1.1)
+            preprocess(ds, 1.1)
 
 
 class TestPreprocessChain:
@@ -367,7 +392,64 @@ class TestPreprocessChain:
     def test_provenance_records_chain_in_order(self, tmp_path):
         out = preprocess(self.build(tmp_path))
         kinds = [step.split()[0] for step in out.provenance]
-        assert kinds == ["load_csv", "drop_sparse_columns", "one_hot", "center_scale"]
+        assert kinds == ["load_csv", "preprocess"]
+        assert out.provenance[-1].split()[1:] == [
+            "threshold=0.5",
+            "dropped_sparse=mostly_gone",
+            "encoded=color,flag,grade",
+            "std_convention=sample(n-1)",
+            "scaled=height,width",
+            "dropped_zero_variance=-",
+        ]
+
+    def test_matches_a_numpy_reference_bit_for_bit(self):
+        # One-hot every discrete column on the full matrix, then center
+        # each output column on its observed mean and scale the continuous
+        # ones by their sample (n-1) sd.
+        gen = np.random.default_rng(5)
+        n = 50
+        schema = (
+            ColumnSchema("x", "continuous"),
+            ColumnSchema("c", "categorical", levels=("p", "q", "r", "s")),
+            ColumnSchema("y", "continuous"),
+            ColumnSchema("o", "ordinal", levels=("lo", "mid", "hi")),
+            ColumnSchema("g", "ordinal", levels=("lo", "mid", "hi"), as_numeric=True),
+            ColumnSchema("b", "binary", levels=("no", "yes")),
+        )
+        values = np.column_stack([
+            gen.normal(40.0, 7.0, n),
+            gen.integers(0, 4, n),
+            gen.normal(-3.0, 0.01, n),
+            gen.integers(0, 3, n),
+            gen.integers(0, 3, n),
+            gen.integers(0, 2, n),
+        ]).astype(np.float64)
+        mask = gen.uniform(size=values.shape) > 0.15
+        out = preprocess(make_dataset(schema, np.where(mask, values, 0.0), mask))
+
+        blocks, block_masks, continuous = [], [], []
+        for j, col in enumerate(schema):
+            if col.is_discrete and not col.as_numeric:
+                levels = np.arange(len(col.levels))
+                block = (values[:, j : j + 1] == levels).astype(np.float64)
+            else:
+                block = values[:, j : j + 1]
+            blocks.append(block)
+            block_masks.append(np.repeat(mask[:, j : j + 1], block.shape[1], axis=1))
+            continuous += [col.kind == "continuous"] * block.shape[1]
+        reference = np.hstack(blocks)
+        ref_mask = np.hstack(block_masks)
+        for k in range(reference.shape[1]):
+            obs = ref_mask[:, k]
+            column = reference[obs, k] - reference[obs, k].mean()
+            if continuous[k]:
+                column = column / np.sqrt(column @ column / (column.size - 1))
+            reference[:, k] = 0.0
+            reference[obs, k] = column
+
+        assert out.matrix.shape == (n, 12)
+        assert out.matrix.values.tobytes() == reference.tobytes()
+        assert np.array_equal(out.matrix.mask, ref_mask)
 
 
 class TestMatrixRoute:

@@ -294,6 +294,22 @@ class TestSchemaRoute:
         assert result.recon.mean.shape == (n, 6)
 
 
+class TestMemoryLayout:
+    def test_fortran_ordered_input_gives_the_c_ordered_report(self):
+        matrix = preprocess(typed_table_with_missing_cells(seed=0)).matrix
+        fortran = MaskedMatrix(np.asfortranarray(matrix.values), np.asfortranarray(matrix.mask))
+        c_order = MaskedMatrix(
+            np.ascontiguousarray(matrix.values), np.ascontiguousarray(matrix.mask)
+        )
+        assert fortran.values.flags.c_contiguous and fortran.mask.flags.c_contiguous
+        options = AnalysisOptions(**FAST)
+        reports = [
+            report_to_json(build_report(analyze_matrix(m, options), "typed", options))
+            for m in (fortran, c_order)
+        ]
+        assert reports[0] == reports[1]
+
+
 class TestValidationSummary:
     def make_runs(self):
         return [

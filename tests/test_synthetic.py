@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sigpca import ConfigError, SyntheticSpec, draw_factors, generate, scenario_grid
+from sigpca import ConfigError, SyntheticSpec, generate, generator, scenario_grid
 from sigpca.synthetic import (
     SCENARIO_FIXED_DIM,
     SCENARIO_SIGNIFICANT,
@@ -50,32 +50,40 @@ class TestSpecValidation:
             )
 
 
+def reference_draws(spec, variances):
+    """Loadings (p, d) and factors (d, n) for the factor variances given,
+    drawn in the documented order: loadings first, then factors."""
+    d = len(variances)
+    gen = generator(spec.seed)
+    loadings = gen.standard_normal((spec.n_cols, d)) * np.sqrt(spec.loading_var)
+    factors = gen.standard_normal((d, spec.n_rows)) * np.sqrt(variances)[:, None]
+    return loadings, factors
+
+
 class TestFactorStructure:
     def test_variance_ladder_layout(self):
+        # Weak rows first, then the strong rows in decreasing variance.
         spec = SyntheticSpec(n_rows=20, n_cols=9, n_significant=3, seed=1)
-        variances = spec.factor_variances()
-        d = min(20, 9)
-        assert variances.shape == (d,)
-        assert np.allclose(variances[: d - 3], spec.weak_var)
-        expected = spec.strong_var_base - spec.strong_var_step * np.arange(3)
-        assert np.allclose(variances[d - 3 :], expected)
+        variances = np.array([spec.weak_var] * 6 + [1.0, 0.97, 0.94])
+        loadings, factors = reference_draws(spec, variances)
+        assert np.array_equal(generate(spec).values, (loadings @ factors).T)
+        loadings, factors = reference_draws(spec, variances[::-1])
+        assert not np.array_equal(generate(spec).values, (loadings @ factors).T)
 
     def test_latent_dimension_is_smaller_matrix_side(self):
-        tall = SyntheticSpec(n_rows=40, n_cols=7, n_significant=2, seed=1)
-        loadings, factors = draw_factors(tall)
-        assert loadings.shape == (7, 7)
-        assert factors.shape == (7, 40)
-        wide = SyntheticSpec(n_rows=7, n_cols=40, n_significant=2, seed=1)
-        loadings, factors = draw_factors(wide)
-        assert loadings.shape == (40, 7)
-        assert factors.shape == (7, 7)
+        for n, p in ((40, 7), (7, 40)):
+            spec = SyntheticSpec(n_rows=n, n_cols=p, n_significant=2, seed=1)
+            variances = np.array([spec.weak_var] * 5 + [1.0, 0.97])
+            loadings, factors = reference_draws(spec, variances)
+            assert loadings.shape == (p, 7) and factors.shape == (7, n)
+            assert np.array_equal(generate(spec).values, (loadings @ factors).T)
 
     def test_data_is_transposed_loadings_times_factors(self):
         spec = SyntheticSpec(n_rows=15, n_cols=6, n_significant=2, seed=4)
-        loadings, factors = draw_factors(spec)
+        loadings, factors = reference_draws(spec, np.array([spec.weak_var] * 4 + [1.0, 0.97]))
         data = generate(spec)
         assert data.shape == (15, 6)
-        assert np.array_equal(data.values, (loadings @ factors).T)
+        assert data.values.tobytes() == (loadings @ factors).T.tobytes()
 
     def test_generated_data_fully_observed_and_reproducible(self):
         spec = SyntheticSpec(n_rows=12, n_cols=8, n_significant=2, seed=5)
@@ -88,9 +96,11 @@ class TestFactorStructure:
 
     def test_factor_rows_recover_declared_variances_at_large_sample(self):
         spec = SyntheticSpec(n_rows=10_000, n_cols=9, n_significant=4, seed=7)
-        _, factors = draw_factors(spec)
+        declared = np.array([spec.weak_var] * 5 + [1.0, 0.97, 0.94, 0.91])
+        loadings, _ = reference_draws(spec, declared)
+        # The 9 x 9 loadings are invertible, so the data give the factors back.
+        factors = np.linalg.solve(loadings, generate(spec).values.T)
         sample_var = factors.var(axis=1, ddof=1)
-        declared = spec.factor_variances()
         rel = np.abs(sample_var - declared) / declared
         assert rel.max() < 0.05
 
