@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import astuple
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import NumericalError, SigpcaError
@@ -43,13 +43,6 @@ from .pipeline import (
 )
 from .synthetic import SCENARIOS, SyntheticSpec, generate, scenario_grid
 from .vbpca import DEFAULT_Q_CAP
-
-# Header of the ``--runs-out`` table, one name per ``ValidationRun`` field.
-_RUNS_HEADER = (
-    "scenario", "rows", "cols", "true_significant",
-    "replicate", "seed", "n_components", "estimated_significant",
-)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on bad usage; this CLI reserves 2 for
@@ -88,10 +81,6 @@ def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--iters", type=int, default=defaults.max_iters, help="max fit sweeps")
     parser.add_argument(
-        "--conv-tol", type=float, default=defaults.conv_tol, help="relative cost change to stop at"
-    )
-    parser.add_argument("--seed", type=int, default=defaults.seed, help="master seed")
-    parser.add_argument(
         "--q-max",
         type=int,
         default=defaults.q_max,
@@ -107,20 +96,19 @@ def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _options_from_args(args) -> AnalysisOptions:
+def _options_from_args(args, seed: int = AnalysisOptions.seed) -> AnalysisOptions:
     return AnalysisOptions(
         alpha=args.alpha,
         n_null_samples=args.null_samples,
         max_iters=args.iters,
-        conv_tol=args.conv_tol,
-        seed=args.seed,
+        seed=seed,
         q_max=args.q_max,
         workers=args.workers,
     )
 
 
 def cmd_analyze(args) -> int:
-    options = _options_from_args(args)
+    options = _options_from_args(args, seed=args.seed)
     tokens = DEFAULT_MISSING_TOKENS + tuple(args.missing_token or ())
     if args.schema is not None:
         schema = read_schema(args.schema)
@@ -141,23 +129,15 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.scenario is not None:
         specs = scenario_grid(
             args.scenario, base_seed=args.base_seed, replicates=args.replicates
         )
         reps = args.replicates
-    elif args.spec_json is not None:
-        with open(args.spec_json) as handle:
-            payload = json.load(handle)
-        specs = [SyntheticSpec.from_dict(payload)]
-        reps = 1
     else:
         if args.rows is None or args.cols is None or args.significant is None:
             raise SigpcaError(
-                "synth needs --rows, --cols and --significant "
-                "(or --scenario / --spec-json)"
+                "synth needs --rows, --cols and --significant (or --scenario)"
             )
         specs = [
             SyntheticSpec(
@@ -172,13 +152,15 @@ def cmd_synth(args) -> int:
             )
         ]
         reps = 1
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = []
     for idx, spec in enumerate(specs):
         stem = (
             f"synth_{spec.n_rows}x{spec.n_cols}_w{spec.n_significant}_r{idx % reps}"
         )
         write_matrix_csv(generate(spec), out_dir / f"{stem}.csv")
-        manifest.append({"data": f"{stem}.csv", "spec": spec.to_dict()})
+        manifest.append({"data": f"{stem}.csv", "spec": asdict(spec)})
     _write_atomic(
         str(out_dir / "manifest.json"),
         json.dumps(manifest, indent=2, sort_keys=True) + "\n",
@@ -196,8 +178,7 @@ def cmd_validate(args) -> int:
     )
     _emit(csv_table(summarize_validation(runs)), args.out)
     if args.runs_out is not None:
-        rows = [dict(zip(_RUNS_HEADER, astuple(run), strict=True)) for run in runs]
-        _write_atomic(args.runs_out, csv_table(rows))
+        _write_atomic(args.runs_out, csv_table([asdict(run) for run in runs]))
     return 0
 
 
@@ -220,6 +201,9 @@ def build_parser() -> _Parser:
         ),
     )
     analyze.add_argument("--id", default=None, help="dataset id for the report")
+    analyze.add_argument(
+        "--seed", type=int, default=AnalysisOptions.seed, help="master seed"
+    )
     analyze.add_argument(
         "--missing-token",
         action="append",
@@ -260,7 +244,6 @@ def build_parser() -> _Parser:
     synth.add_argument("--scenario", choices=SCENARIOS, default=None)
     synth.add_argument("--replicates", type=int, default=1)
     synth.add_argument("--base-seed", type=int, default=0)
-    synth.add_argument("--spec-json", default=None, help="JSON file holding one spec")
     synth.add_argument("--out-dir", required=True)
     synth.set_defaults(func=cmd_synth)
 
@@ -269,7 +252,9 @@ def build_parser() -> _Parser:
     )
     validate.add_argument("--scenario", choices=SCENARIOS, required=True)
     validate.add_argument("--replicates", type=int, default=1)
-    validate.add_argument("--base-seed", type=int, default=0)
+    validate.add_argument(
+        "--base-seed", type=int, default=0, help="seed of the grid; every run's seeds derive from it"
+    )
     _add_analysis_flags(validate)
     validate.add_argument(
         "--out", default=None, help="summary CSV path (default stdout)"

@@ -61,7 +61,6 @@ class AnalysisOptions:
     alpha: float = SigTestConfig.alpha
     n_null_samples: int = SigTestConfig.n_null_samples
     max_iters: int = VbpcaConfig.max_iters
-    conv_tol: float = VbpcaConfig.conv_tol
     seed: int = 0
     q_max: int | None = None
     workers: int = 1
@@ -76,7 +75,6 @@ class AnalysisOptions:
         fit_config = VbpcaConfig(
             n_components=self.q_max,
             max_iters=self.max_iters,
-            conv_tol=self.conv_tol,
             seed=derive_seed(self.seed, _FIT_SEED_TAG),
         )
         sig_config = SigTestConfig(
@@ -241,16 +239,17 @@ def csv_table(rows: list[dict]) -> str:
 
 @dataclass(frozen=True)
 class ValidationRun:
-    """One grid cell replicate: the truth and what the pipeline found."""
+    """One grid cell replicate: the truth and what the pipeline found.
+    The field names are the columns of ``validate --runs-out``."""
 
     scenario: str
-    n_rows: int
-    n_cols: int
-    n_significant_true: int
+    rows: int
+    cols: int
+    true_significant: int
     replicate: int
     seed: int
     n_components: int
-    n_significant_est: int
+    estimated_significant: int
 
 
 def _run_one_validation(spec: SyntheticSpec, options: AnalysisOptions) -> tuple[int, int]:
@@ -269,7 +268,8 @@ def run_validation(
 
     ``options.workers`` processes share the datasets; each run's seeds
     derive only from its spec, so results are identical for any worker
-    count.
+    count.  ``options.seed`` is ignored: the seeds come from
+    ``base_seed`` alone.
     """
     specs = scenario_grid(scenario, base_seed=base_seed, replicates=replicates)
     run_options = [
@@ -286,15 +286,15 @@ def run_validation(
     return [
         ValidationRun(
             scenario=scenario,
-            n_rows=spec.n_rows,
-            n_cols=spec.n_cols,
-            n_significant_true=spec.n_significant,
+            rows=spec.n_rows,
+            cols=spec.n_cols,
+            true_significant=spec.n_significant,
             replicate=idx % replicates,
             seed=spec.seed,
             n_components=n_components,
-            n_significant_est=n_significant_est,
+            estimated_significant=estimated,
         )
-        for idx, (spec, (n_components, n_significant_est)) in enumerate(zip(specs, outcomes))
+        for idx, (spec, (n_components, estimated)) in enumerate(zip(specs, outcomes))
     ]
 
 
@@ -303,11 +303,11 @@ def summarize_validation(runs: list[ValidationRun]) -> list[dict]:
     over replicates, plus the maximum estimate."""
     cells: dict[tuple, list[ValidationRun]] = {}
     for run in runs:
-        key = (run.scenario, run.n_rows, run.n_cols, run.n_significant_true)
+        key = (run.scenario, run.rows, run.cols, run.true_significant)
         cells.setdefault(key, []).append(run)
     summary = []
     for (scenario, n, p, w_true), cell_runs in cells.items():
-        estimates = np.asarray([r.n_significant_est for r in cell_runs], dtype=float)
+        estimates = np.asarray([r.estimated_significant for r in cell_runs], dtype=float)
         mean = float(estimates.mean())
         sd = float(estimates.std(ddof=1)) if estimates.size > 1 else 0.0
         half = 1.959964 * sd / np.sqrt(estimates.size)

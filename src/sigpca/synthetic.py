@@ -9,7 +9,9 @@ additive noise beyond the weak components, and every entry is observed.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, asdict, dataclass, fields
+import math
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +29,9 @@ SCENARIOS = ("i", "ii")
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Recipe for one dataset; ``seed`` pins every random draw."""
+    """Recipe for one dataset; ``seed`` pins every random draw.
+    ``SyntheticSpec(**entry["spec"])`` rebuilds the spec of an entry of
+    a ``synth`` manifest."""
 
     n_rows: int
     n_cols: int
@@ -42,6 +46,10 @@ class SyntheticSpec:
         _check_count("n_rows", self.n_rows, 2)
         _check_count("n_cols", self.n_cols, 2)
         _check_count("n_significant", self.n_significant, 1)
+        for name in ("weak_var", "strong_var_base", "strong_var_step", "loading_var"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         d = min(self.n_rows, self.n_cols)
         if self.n_significant >= d:
             raise ConfigError(
@@ -58,27 +66,6 @@ class SyntheticSpec:
                 f"weak_var {self.weak_var}"
             )
         check_seed(self.seed)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload) -> "SyntheticSpec":
-        """Build a spec from a JSON object; a payload that is not an
-        object, or that names unknown fields or omits required ones,
-        raises ConfigError naming them."""
-        if not isinstance(payload, dict):
-            raise ConfigError(
-                f"a synthetic spec must be a JSON object, got {type(payload).__name__}"
-            )
-        known = {f.name: f.default is MISSING for f in fields(cls)}
-        unknown = sorted(set(payload) - set(known))
-        missing = [n for n, required in known.items() if required and n not in payload]
-        if unknown:
-            raise ConfigError(f"unknown synthetic spec fields: {', '.join(unknown)}")
-        if missing:
-            raise ConfigError(f"missing synthetic spec fields: {', '.join(missing)}")
-        return cls(**payload)
 
 
 def generate(spec: SyntheticSpec) -> MaskedMatrix:

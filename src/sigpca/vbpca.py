@@ -80,6 +80,10 @@ _ABS_SCALE_FLOOR = 1e-30
 # Default cap on the component count of an analysis's fit.
 DEFAULT_Q_CAP = 60
 
+# The sweeps stop once the relative change of the reconstruction cost
+# drops below this.
+_CONV_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class VbpcaConfig:
@@ -89,23 +93,20 @@ class VbpcaConfig:
     and at most min(n, p) of the data; None, the default, means
     min(n - 1, p - 1, DEFAULT_Q_CAP), which ``fit`` resolves from the
     data.  Iteration stops after ``max_iters`` sweeps, once the relative
-    change of the reconstruction cost drops below ``conv_tol``, or once
-    that cost (a sum over the observed entries) is at or below the
+    change of the reconstruction cost drops below ``_CONV_TOL`` (1e-6), or
+    once that cost (a sum over the observed entries) is at or below the
     noise-variance floor per observed entry, where the fit is exact up
     to rounding.
     """
 
     n_components: int | None = None
     max_iters: int = 80
-    conv_tol: float = 1e-6
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_components is not None:
             _check_count("n_components", self.n_components, 2)
         _check_count("max_iters", self.max_iters, 1)
-        if not 0 <= self.conv_tol < np.inf:
-            raise ConfigError(f"conv_tol must be finite and >= 0, got {self.conv_tol}")
         check_seed(self.seed)
 
 
@@ -139,7 +140,7 @@ class VbpcaModel:
     have the same length; models built by hand may leave the free-energy
     trace empty.
 
-    ``converged`` is True when the ``conv_tol`` test or the noise-floor
+    ``converged`` is True when the relative-change test or the noise-floor
     test (see ``VbpcaConfig``) stopped the sweeps and False when they ran
     to the ``max_iters`` cap (and for models built by hand, which had no
     sweeps).
@@ -317,7 +318,7 @@ def fit(data: MaskedMatrix, config: VbpcaConfig) -> VbpcaModel:
     prior_floor = anchor * _PRIOR_FLOOR_REL
     uncertainty_floor = anchor * _PRIOR_UNCERTAINTY_FLOOR_REL
     noise_floor = anchor * _NOISE_FLOOR_REL
-    v = max(scale, anchor)
+    v = anchor
 
     def column_sums() -> tuple[np.ndarray, np.ndarray]:
         # per column pattern, over its observed rows i: the sum of
@@ -338,15 +339,16 @@ def fit(data: MaskedMatrix, config: VbpcaConfig) -> VbpcaModel:
         flat = ((V - fit_mean - m) * W).ravel()
         return float(np.dot(flat, flat))
 
-    def free_energy(sse: float, second: float, ld_cy: float, ld_ca: float) -> float:
+    def free_energy(sse: float, second: float) -> float:
         return _free_energy(
             sse + second, n_obs, v, Yb, float(row_weights @ np.trace(Cy, axis1=1, axis2=2)),
-            ld_cy, A, col_weights @ Ca.diagonal(axis1=1, axis2=2), ld_ca, va, m, mvar, vm,
+            float(row_weights @ np.linalg.slogdet(Cy)[1]), A,
+            col_weights @ Ca.diagonal(axis1=1, axis2=2),
+            float(col_weights @ np.linalg.slogdet(Ca)[1]), va, m, mvar, vm,
         )
 
     trace = [masked_sse(Yb @ A.T)]
-    ld_init = q * np.log(_INIT_COV)
-    energy = [free_energy(trace[0], second_moments(*column_sums()), n * ld_init, p * ld_init)]
+    energy = [free_energy(trace[0], second_moments(*column_sums()))]
     converged = False
 
     for it in range(config.max_iters):
@@ -354,13 +356,11 @@ def fit(data: MaskedMatrix, config: VbpcaConfig) -> VbpcaModel:
         # factor posteriors; each row pattern sums a_j a_j' + Ca_j over its
         # observed columns j, the covariances once per column pattern
         Sa = _pattern_sums(Wr, A) + (block * col_weights) @ Ca.reshape(c, qq)
-        Py = eye + Sa.reshape(u, q, q) / v
-        Cy = _inv_sym(Py)
+        Cy = _inv_sym(eye + Sa.reshape(u, q, q) / v)
         Yb = _matvec(Cy, row_pattern, Rm @ A) / v
         # loading posteriors under the per-component prior
         Sy, Scy = column_sums()
-        Pa = np.diag(1.0 / va) + Sy.reshape(c, q, q) / v
-        Ca = _inv_sym(Pa)
+        Ca = _inv_sym(np.diag(1.0 / va) + Sy.reshape(c, q, q) / v)
         A = _matvec(Ca, col_pattern, Rm.T @ Yb) / v
         # bias
         F = Yb @ A.T
@@ -388,15 +388,10 @@ def fit(data: MaskedMatrix, config: VbpcaConfig) -> VbpcaModel:
         if not np.isfinite(sse):
             raise NumericalError(f"cost became non-finite at iteration {it + 1}")
         v = max((sse + second) / n_obs, noise_floor)
-        # the gauge maps scale the covariance determinants by det(M)^2
-        # (loadings) and det(N)^2 = det(M)^-2 (factors)
-        ld_m = 2.0 * float(np.linalg.slogdet(M)[1])
-        ld_py = float(row_weights @ np.linalg.slogdet(Py)[1])
-        ld_pa = float(col_weights @ np.linalg.slogdet(Pa)[1])
-        energy.append(free_energy(sse, second, -ld_py - n * ld_m, -ld_pa + p * ld_m))
+        energy.append(free_energy(sse, second))
         prev = trace[-1]
         trace.append(sse)
-        if abs(prev - sse) <= config.conv_tol * max(prev, _TINY) or sse <= n_obs * noise_floor:
+        if abs(prev - sse) <= _CONV_TOL * max(prev, _TINY) or sse <= n_obs * noise_floor:
             converged = True
             break
 

@@ -271,7 +271,7 @@ def ungrouped_fit_reference(data: MaskedMatrix, config: VbpcaConfig) -> VbpcaMod
         energy.append(free_energy(sse, second))
         prev = trace[-1]
         trace.append(sse)
-        if abs(prev - sse) <= config.conv_tol * prev or sse <= n_obs * noise_floor:
+        if abs(prev - sse) <= vbpca._CONV_TOL * prev or sse <= n_obs * noise_floor:
             converged = True
             break
     return VbpcaModel(

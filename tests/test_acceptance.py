@@ -81,9 +81,9 @@ def analyze_replicates(spec_base: SyntheticSpec, tag: int, replicates: int, opti
 def test_c1_estimate_never_exceeds_truth_on_benchmark_grids(benchmark_grid):
     runs, elapsed = benchmark_grid
     excesses = [
-        (run.scenario, run.n_rows, run.n_cols, run.n_significant_true, run.n_significant_est)
+        (run.scenario, run.rows, run.cols, run.true_significant, run.estimated_significant)
         for run in runs
-        if run.n_significant_est > run.n_significant_true
+        if run.estimated_significant > run.true_significant
     ]
     ok = len(runs) == 280 and not excesses and elapsed <= 1800.0
     verdict(
@@ -97,8 +97,12 @@ def test_c1_estimate_never_exceeds_truth_on_benchmark_grids(benchmark_grid):
 
 def test_c2_low_count_rows_recovered_exactly(benchmark_grid):
     runs, _ = benchmark_grid
-    selected = [r for r in runs if r.scenario == "i" and r.n_significant_true == 2]
-    misses = [(r.n_cols, r.replicate, r.n_significant_est) for r in selected if r.n_significant_est != 2]
+    selected = [r for r in runs if r.scenario == "i" and r.true_significant == 2]
+    misses = [
+        (r.cols, r.replicate, r.estimated_significant)
+        for r in selected
+        if r.estimated_significant != 2
+    ]
     ok = len(selected) == 35 and len(misses) <= 1
     verdict(
         "C2",

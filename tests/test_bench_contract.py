@@ -1,7 +1,9 @@
 """The benchmark's tracer wraps program functions by module and name and
-reads their arguments and results; these tests run it on one small
-analysis so that a renamed or deleted name fails here, not only in a
-benchmark run.  They import from ``bench/`` and write nothing there."""
+reads their arguments and results, and its workloads pass fixed command
+lines; these tests run the tracer on one small analysis and parse those
+command lines, so that a renamed or deleted name or flag fails here, not
+only in a benchmark run.  They import from ``bench/`` and write nothing
+there."""
 
 import importlib
 import sys
@@ -21,6 +23,24 @@ def tracing(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     return importlib.import_module("tracing")
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    return importlib.import_module("workloads")
+
+
+def test_workload_command_lines_parse(workloads):
+    parser = cli.build_parser()
+    head = ["analyze", "d.csv", "--id", "x", "--out", "o"]
+    mixed = parser.parse_args([*head, "--schema", "s", *workloads.MIXED_ARGS])
+    wide = parser.parse_args([*head, *workloads.WIDE_ARGS])
+    mixed_options = cli._options_from_args(mixed, seed=mixed.seed)
+    wide_options = cli._options_from_args(wide, seed=wide.seed)
+    assert (mixed_options.q_max, mixed_options.n_null_samples) == (8, 500)
+    assert (wide_options.n_null_samples, wide_options.workers) == (200, 2)
 
 
 def test_every_traced_name_resolves(tracing):

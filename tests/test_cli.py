@@ -1,7 +1,6 @@
 """Command-line interface: subcommands, output files, exit codes."""
 
 import json
-import re
 
 import numpy as np
 import pytest
@@ -66,49 +65,6 @@ class TestSynth:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert len(manifest) == 28
 
-    def test_spec_json_input(self, tmp_path):
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(
-            json.dumps(
-                {
-                    "n_rows": 12,
-                    "n_cols": 5,
-                    "n_significant": 2,
-                    "weak_var": 0.001,
-                    "strong_var_base": 1.0,
-                    "strong_var_step": 0.03,
-                    "loading_var": 0.00015,
-                    "seed": 3,
-                }
-            )
-        )
-        out_dir = tmp_path / "fromjson"
-        code = run_cli(
-            ["synth", "--spec-json", str(spec_path), "--out-dir", str(out_dir)]
-        )
-        assert code == 0
-        assert (out_dir / "synth_12x5_w2_r0.csv").exists()
-
-    @pytest.mark.parametrize(
-        "payload, named",
-        [
-            ({"n_rows": 12, "n_cols": 5, "n_significant": 2, "bogus": 1}, "unknown.*bogus"),
-            ({"n_rows": 12}, "missing.*n_cols, n_significant"),
-            ([12, 5, 2], "JSON object, got list"),
-        ],
-        ids=["unknown-field", "missing-fields", "list"],
-    )
-    def test_malformed_spec_json_fails(self, tmp_path, capsys, payload, named):
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(payload))
-        code = run_cli(
-            ["synth", "--spec-json", str(spec_path), "--out-dir", str(tmp_path / "x")]
-        )
-        assert code == 1
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("sigpca: error:")
-        assert re.search(named, lines[0])
-
     def test_missing_shape_flags_fail(self, tmp_path):
         code = run_cli(["synth", "--rows", "10", "--out-dir", str(tmp_path / "x")])
         assert code == 1
@@ -124,6 +80,16 @@ class TestSynth:
             ]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("flag", ["--weak-var", "--loading-var"])
+    def test_non_finite_variance_fails_before_writing(self, tmp_path, capsys, flag):
+        out_dir = tmp_path / "x"
+        argv = ["synth", "--rows", "20", "--cols", "6", "--significant", "2"]
+        assert run_cli(argv + [flag, "nan", "--out-dir", str(out_dir)]) == 1
+        field = flag[2:].replace("-", "_")
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"sigpca: error: {field} must be a finite number, got nan"]
+        assert not out_dir.exists()
 
 
 class TestAnalyze:
@@ -279,6 +245,11 @@ class TestExitCodes:
     def test_unknown_flag_rejected(self, tmp_path):
         data = synth_file(tmp_path, rows=12, cols=5, significant=2, seed=1)
         assert run_cli(["analyze", str(data), "--bogus"]) == 1
+        # flags that were removed
+        assert run_cli(["analyze", str(data), "--conv-tol", "1e-3"]) == 1
+        assert run_cli(["validate", "--scenario", "i", "--conv-tol", "1e-3"]) == 1
+        assert run_cli(["validate", "--scenario", "i", "--seed", "3"]) == 1
+        assert run_cli(["synth", "--spec-json", "f", "--out-dir", str(tmp_path / "x")]) == 1
 
     def test_unknown_subcommand(self):
         assert run_cli(["frobnicate"]) == 1

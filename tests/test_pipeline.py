@@ -11,20 +11,27 @@ from sigpca import (
     ConfigError,
     DataError,
     MaskedMatrix,
+    Reconstruction,
     SyntheticSpec,
     ValidationRun,
     analyze_matrix,
     analyze_numeric,
     build_report,
+    count_significant,
     csv_table,
+    derive_seed,
+    fit,
     format_p,
     generate,
+    reconstruct,
+    reconstruction_spectrum,
     report_to_json,
     run_validation,
+    sample_rank_null_spectra,
     summarize_validation,
 )
 from sigpca import pipeline
-from sigpca.ingest import ColumnSchema, Dataset, preprocess
+from sigpca.ingest import ColumnSchema, Dataset, center_columns, preprocess
 
 FAST = dict(n_null_samples=150, seed=3)
 
@@ -42,7 +49,6 @@ class TestAnalysisOptions:
         assert options.alpha == 0.05
         assert options.n_null_samples == 2000
         assert options.max_iters == 80
-        assert options.conv_tol == 1e-6
         assert options.q_max is None
 
     def test_non_integer_counts_rejected(self):
@@ -354,3 +360,50 @@ class TestRunValidation:
         pooled = run_validation("i", 1, 0, AnalysisOptions(n_null_samples=100, workers=2))
         assert [run.seed for run in serial] == [21, 22, 23]
         assert pooled == serial
+
+    def test_options_seed_is_ignored(self, monkeypatch):
+        specs = [
+            SyntheticSpec(n_rows=20, n_cols=cols, n_significant=2, seed=seed)
+            for cols, seed in ((8, 21), (10, 22))
+        ]
+        monkeypatch.setattr(pipeline, "scenario_grid", lambda *args, **kwargs: specs)
+        seen = []
+        run_one = pipeline._run_one_validation
+
+        def recording(spec, options):
+            seen.append(options.seed)
+            return run_one(spec, options)
+
+        monkeypatch.setattr(pipeline, "_run_one_validation", recording)
+        runs = [
+            run_validation("i", 1, 0, AnalysisOptions(n_null_samples=100, seed=seed))
+            for seed in (0, 5)
+        ]
+        assert runs[1] == runs[0]
+        assert seen == 2 * [derive_seed(spec.seed, 101) for spec in specs]
+
+
+class TestDocumentedChain:
+    def test_readme_chain_gives_the_analysis(self):
+        # the chain of README "Library usage", on a matrix with missing cells
+        spec = SyntheticSpec(n_rows=40, n_cols=12, n_significant=3, seed=8)
+        full = generate(spec)
+        mask = np.random.default_rng(8).random(full.shape) > 0.1
+        data = center_columns(MaskedMatrix(full.values, mask))
+        options = AnalysisOptions(**FAST)
+
+        fit_config, sig_config = options.stage_configs()
+        model = fit(data, fit_config)
+        recon = reconstruct(model)
+        flat = data.values.ravel()  # masked-out entries are zero
+        spectrum = reconstruction_spectrum(
+            recon.mean, model.n_components, 1e-9 * float(np.dot(flat, flat))
+        )
+        predictive = Reconstruction(recon.mean, recon.var + model.noise_var)
+        posterior, null = sample_rank_null_spectra(predictive, spectrum, sig_config)
+        test = count_significant(spectrum, null, sig_config, posterior)
+
+        expected = analyze_matrix(data, options).test
+        assert test.n_significant == expected.n_significant
+        for name in ("raw_p", "adjusted_p", "null_quantiles"):
+            assert np.array_equal(getattr(test, name), getattr(expected, name), equal_nan=True)

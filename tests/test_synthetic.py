@@ -1,5 +1,8 @@
 """Synthetic benchmark generator: spec validation, structure, grids."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -14,8 +17,9 @@ from sigpca.synthetic import (
 
 class TestSpecValidation:
     def test_valid_spec_roundtrips_through_dict(self):
+        # as a synth manifest entry stores it and Python rebuilds it
         spec = SyntheticSpec(n_rows=150, n_cols=30, n_significant=4, seed=9)
-        assert SyntheticSpec.from_dict(spec.to_dict()) == spec
+        assert SyntheticSpec(**json.loads(json.dumps(asdict(spec)))) == spec
 
     def test_shape_bounds(self):
         with pytest.raises(ConfigError):
@@ -40,6 +44,14 @@ class TestSpecValidation:
             SyntheticSpec(n_rows=10, n_cols=5, n_significant=2, weak_var=0.0)
         with pytest.raises(ConfigError):
             SyntheticSpec(n_rows=10, n_cols=5, n_significant=2, loading_var=-1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "a"])
+    @pytest.mark.parametrize(
+        "name", ["weak_var", "strong_var_base", "strong_var_step", "loading_var"]
+    )
+    def test_float_fields_must_be_finite_numbers(self, name, bad):
+        with pytest.raises(ConfigError, match=name):
+            SyntheticSpec(n_rows=10, n_cols=5, n_significant=2, **{name: bad})
 
     def test_weakest_strong_direction_must_exceed_weak_floor(self):
         # With a large step the last strong variance dips below weak_var.

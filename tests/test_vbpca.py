@@ -51,8 +51,10 @@ class TestConfigValidation:
     def test_iteration_and_tolerance_bounds(self):
         with pytest.raises(ConfigError):
             VbpcaConfig(n_components=2, max_iters=0)
-        with pytest.raises(ConfigError):
-            VbpcaConfig(n_components=2, conv_tol=-1e-6)
+        # The stop tolerance is a constant of the fit, not a setting.
+        assert vbpca._CONV_TOL == 1e-6
+        with pytest.raises(TypeError):
+            VbpcaConfig(n_components=2, conv_tol=1e-6)
         with pytest.raises(ConfigError):
             VbpcaConfig(n_components=2, seed=-1)
 
