@@ -57,7 +57,6 @@ from .vbpca import (
     VbpcaModel,
     fit,
     reconstruct,
-    select_n_components,
 )
 
 __version__ = "0.1.0"
@@ -103,7 +102,6 @@ __all__ = [
     "run_validation",
     "sample_rank_null_spectra",
     "scenario_grid",
-    "select_n_components",
     "summarize_validation",
     "__version__",
 ]

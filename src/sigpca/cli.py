@@ -20,7 +20,7 @@ import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
-from .errors import NumericalError, SigpcaError
+from .errors import NumericalError, SigpcaError, _check_count
 from .ingest import (
     DEFAULT_MISSING_TOKENS,
     DEFAULT_SPARSE_THRESHOLD,
@@ -43,6 +43,21 @@ from .pipeline import (
 )
 from .synthetic import SCENARIOS, SyntheticSpec, generate, scenario_grid
 from .vbpca import DEFAULT_Q_CAP
+
+# The flags of each synth route, the SyntheticSpec field or scenario_grid
+# keyword each sets, and its type.  A flag left out keeps that default.
+_SPEC_FLAGS = (
+    ("--rows", "n_rows", int),
+    ("--cols", "n_cols", int),
+    ("--significant", "n_significant", int),
+    ("--weak-var", "weak_var", float),
+    ("--strong-var-base", "strong_var_base", float),
+    ("--strong-var-step", "strong_var_step", float),
+    ("--loading-var", "loading_var", float),
+    ("--seed", "seed", int),
+)
+_GRID_FLAGS = (("--replicates", "replicates", int), ("--base-seed", "base_seed", int))
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on bad usage; this CLI reserves 2 for
@@ -90,7 +105,7 @@ def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
         type=int,
-        default=defaults.workers,
+        default=1,
         help="validate: processes that share the grid's datasets; analyze: no "
         "effect (accepted for existing scripts); never affects results",
     )
@@ -103,11 +118,11 @@ def _options_from_args(args, seed: int = AnalysisOptions.seed) -> AnalysisOption
         max_iters=args.iters,
         seed=seed,
         q_max=args.q_max,
-        workers=args.workers,
     )
 
 
 def cmd_analyze(args) -> int:
+    _check_count("workers", args.workers, 1)
     options = _options_from_args(args, seed=args.seed)
     tokens = DEFAULT_MISSING_TOKENS + tuple(args.missing_token or ())
     if args.schema is not None:
@@ -130,35 +145,27 @@ def cmd_analyze(args) -> int:
 
 def cmd_synth(args) -> int:
     if args.scenario is not None:
-        specs = scenario_grid(
-            args.scenario, base_seed=args.base_seed, replicates=args.replicates
-        )
-        reps = args.replicates
+        own, other, rule = _GRID_FLAGS, _SPEC_FLAGS, "not allowed with --scenario"
     else:
-        if args.rows is None or args.cols is None or args.significant is None:
-            raise SigpcaError(
-                "synth needs --rows, --cols and --significant (or --scenario)"
-            )
-        specs = [
-            SyntheticSpec(
-                n_rows=args.rows,
-                n_cols=args.cols,
-                n_significant=args.significant,
-                weak_var=args.weak_var,
-                strong_var_base=args.strong_var_base,
-                strong_var_step=args.strong_var_step,
-                loading_var=args.loading_var,
-                seed=args.seed,
-            )
-        ]
-        reps = 1
+        own, other, rule = _SPEC_FLAGS, _GRID_FLAGS, "allowed only with --scenario"
+    stray = [flag for flag, dest, _ in other if getattr(args, dest) is not None]
+    if stray:
+        raise SigpcaError(f"synth: {', '.join(stray)} {rule}")
+    given = {dest: getattr(args, dest) for _, dest, _ in own if getattr(args, dest) is not None}
+    if args.scenario is not None:
+        specs = scenario_grid(args.scenario, **given)
+    elif {"n_rows", "n_cols", "n_significant"} <= given.keys():
+        specs = [SyntheticSpec(**given)]
+    else:
+        raise SigpcaError("synth needs --rows, --cols and --significant (or --scenario)")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = []
-    for idx, spec in enumerate(specs):
-        stem = (
-            f"synth_{spec.n_rows}x{spec.n_cols}_w{spec.n_significant}_r{idx % reps}"
-        )
+    replicates: dict[str, int] = {}  # files written per grid cell
+    for spec in specs:
+        cell = f"synth_{spec.n_rows}x{spec.n_cols}_w{spec.n_significant}"
+        stem = f"{cell}_r{replicates.get(cell, 0)}"
+        replicates[cell] = replicates.get(cell, 0) + 1
         write_matrix_csv(generate(spec), out_dir / f"{stem}.csv")
         manifest.append({"data": f"{stem}.csv", "spec": asdict(spec)})
     _write_atomic(
@@ -175,6 +182,7 @@ def cmd_validate(args) -> int:
         replicates=args.replicates,
         base_seed=args.base_seed,
         options=options,
+        workers=args.workers,
     )
     _emit(csv_table(summarize_validation(runs)), args.out)
     if args.runs_out is not None:
@@ -231,19 +239,11 @@ def build_parser() -> _Parser:
     analyze.set_defaults(func=cmd_analyze)
 
     synth = sub.add_parser("synth", help="write synthetic benchmark datasets")
-    synth.add_argument("--rows", type=int, default=None)
-    synth.add_argument("--cols", type=int, default=None)
-    synth.add_argument(
-        "--significant", type=int, default=None, help="true significant component count"
-    )
-    synth.add_argument("--weak-var", type=float, default=SyntheticSpec.weak_var)
-    synth.add_argument("--strong-var-base", type=float, default=SyntheticSpec.strong_var_base)
-    synth.add_argument("--strong-var-step", type=float, default=SyntheticSpec.strong_var_step)
-    synth.add_argument("--loading-var", type=float, default=SyntheticSpec.loading_var)
-    synth.add_argument("--seed", type=int, default=SyntheticSpec.seed)
-    synth.add_argument("--scenario", choices=SCENARIOS, default=None)
-    synth.add_argument("--replicates", type=int, default=1)
-    synth.add_argument("--base-seed", type=int, default=0)
+    for flag, dest, kind in _SPEC_FLAGS:
+        synth.add_argument(flag, dest=dest, type=kind, help=f"sets {dest}; not with --scenario")
+    synth.add_argument("--scenario", choices=SCENARIOS, default=None, help="write a scenario grid")
+    for flag, dest, kind in _GRID_FLAGS:
+        synth.add_argument(flag, dest=dest, type=kind, help=f"sets {dest}; only with --scenario")
     synth.add_argument("--out-dir", required=True)
     synth.set_defaults(func=cmd_synth)
 

@@ -10,9 +10,9 @@ seed; ``AnalysisOptions.stage_configs`` gives fitting and null sampling
 disjoint child seeds, and each null draw owns a fixed stream.  An
 analysis runs on the calling thread; numpy's BLAS may start threads of
 its own, and its thread setting can change the last bits of the results.
-``run_validation`` spreads the datasets of a grid over
-``AnalysisOptions.workers`` processes; each run's seeds derive only from
-its spec, so results are identical for any worker count.
+``run_validation`` spreads the datasets of a grid over ``workers``
+processes; each run's seeds derive only from its spec, so results are
+identical for any worker count.
 """
 
 from __future__ import annotations
@@ -55,18 +55,15 @@ _SPECTRUM_FLOOR_REL = 1e-9
 @dataclass(frozen=True)
 class AnalysisOptions:
     """Settings of one full analysis; ``seed`` is the master seed.
-    ``workers`` is the number of processes ``run_validation`` uses; a
-    single analysis ignores it.  ``stage_configs`` checks the others."""
+    ``stage_configs`` checks them."""
 
     alpha: float = SigTestConfig.alpha
     n_null_samples: int = SigTestConfig.n_null_samples
     max_iters: int = VbpcaConfig.max_iters
     seed: int = 0
     q_max: int | None = None
-    workers: int = 1
 
     def __post_init__(self) -> None:
-        _check_count("workers", self.workers, 1)
         self.stage_configs()
 
     def stage_configs(self) -> tuple[VbpcaConfig, SigTestConfig]:
@@ -165,8 +162,6 @@ def build_report(
     the test could no longer reach them.
     The shape and the total variance, against which each rank's
     variance fraction is taken, are those of the reconstruction mean.
-    The config echo deliberately excludes the worker count, which never
-    affects results.
     """
     test = result.test
     q = result.n_components
@@ -263,25 +258,26 @@ def run_validation(
     replicates: int,
     base_seed: int,
     options: AnalysisOptions,
+    workers: int = 1,
 ) -> list[ValidationRun]:
     """Analyze every dataset of a scenario grid.
 
-    ``options.workers`` processes share the datasets; each run's seeds
-    derive only from its spec, so results are identical for any worker
-    count.  ``options.seed`` is ignored: the seeds come from
-    ``base_seed`` alone.
+    ``workers`` processes share the datasets; each run's seeds derive
+    only from its spec, so results are identical for any worker count.
+    ``options.seed`` is ignored: the seeds come from ``base_seed`` alone.
     """
+    _check_count("workers", workers, 1)
     specs = scenario_grid(scenario, base_seed=base_seed, replicates=replicates)
     run_options = [
         replace(options, seed=derive_seed(spec.seed, _RUN_SEED_TAG)) for spec in specs
     ]
-    if options.workers <= 1:
+    if workers == 1:
         outcomes = list(map(_run_one_validation, specs, run_options))
     else:
         # Here, not at the top, so importing the package skips multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=options.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_one_validation, specs, run_options, chunksize=4))
     return [
         ValidationRun(

@@ -209,8 +209,6 @@ def sample_rank_null_spectra(
     """
     mean = recon.mean
     q = spectrum.n_ranks
-    if mean.ndim != 2:
-        raise ShapeError("reconstruction mean must be 2-D")
     if not 2 <= q <= min(mean.shape):
         raise ConfigError(
             f"q={q} out of range [2, {min(mean.shape)}] for shape {mean.shape}"

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericalError, _check_count
+from .errors import ConfigError, DataError, NumericalError, ShapeError, _check_count
 from .linalg import MaskedMatrix
 from .rng import check_seed, generator
 
@@ -163,18 +163,26 @@ class VbpcaModel:
     def n_components(self) -> int:
         return self.loadings_mean.shape[1]
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.factors_mean.shape[1], self.loadings_mean.shape[0]
-
 
 @dataclass(frozen=True, eq=False)
 class Reconstruction:
     """Elementwise posterior of the reconstruction: mean and variance of
-    a'y + m for every matrix position, both shaped like the data."""
+    a'y + m for every matrix position, both shaped like the data.  The
+    mean must be 2-D and finite, the variance finite and nonnegative."""
 
     mean: np.ndarray
     var: np.ndarray
+
+    def __post_init__(self) -> None:
+        if np.ndim(self.mean) != 2 or np.shape(self.var) != np.shape(self.mean):
+            raise ShapeError(
+                f"reconstruction mean must be 2-D and var shaped like it, got "
+                f"{np.shape(self.mean)} and {np.shape(self.var)}"
+            )
+        if not np.isfinite(self.mean).all():
+            raise ConfigError("reconstruction mean must be finite")
+        if not np.all((self.var >= 0) & (self.var < np.inf)):
+            raise ConfigError("reconstruction var must be finite and nonnegative")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

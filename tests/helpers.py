@@ -79,7 +79,7 @@ def mc_reconstruction_variance(model: VbpcaModel, n_draws: int, seed: int) -> np
     variance of loadings . factors + bias.
     """
     gen = np.random.default_rng(seed)
-    n, p = model.shape
+    n, p = model.factors_mean.shape[1], model.loadings_mean.shape[0]
     q = model.n_components
     chol_a = np.linalg.cholesky(model.loadings_cov)[model.loadings_pattern]
     chol_y = np.linalg.cholesky(model.factors_cov)[model.factors_pattern]

@@ -349,14 +349,19 @@ def test_c9_reports_byte_identical_across_runs_and_workers():
     data = generate(spec)
     options = AnalysisOptions(n_null_samples=300, seed=9)
     texts = []
-    for workers in (1, 1, 3):
-        run_options = replace(options, workers=workers)
-        result = analyze_numeric(data, run_options)
-        texts.append(report_to_json(build_report(result, "determinism", run_options)))
-    ok = texts[0] == texts[1] == texts[2]
+    for _ in range(3):
+        result = analyze_numeric(data, options)
+        texts.append(report_to_json(build_report(result, "determinism", options)))
+    reports_ok = texts[0] == texts[1] == texts[2]
+    # The worker count acts only where a grid is spread over processes.
+    grid_options = AnalysisOptions(n_null_samples=100, q_max=6)
+    serial, pooled = (run_validation("i", 1, 0, grid_options, workers=w) for w in (1, 3))
+    runs_ok = pooled == serial
+    ok = reports_ok and runs_ok
     verdict(
         "C9",
         ok,
-        f"three runs (workers 1, 1, 3): byte-identical={ok}, "
-        f"report length {len(texts[0])} bytes",
+        f"three analyses: byte-identical={reports_ok}, report length "
+        f"{len(texts[0])} bytes; {len(serial)} scenario i runs at workers 1 "
+        f"and 3: identical={runs_ok}",
     )

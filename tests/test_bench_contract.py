@@ -40,7 +40,7 @@ def test_workload_command_lines_parse(workloads):
     mixed_options = cli._options_from_args(mixed, seed=mixed.seed)
     wide_options = cli._options_from_args(wide, seed=wide.seed)
     assert (mixed_options.q_max, mixed_options.n_null_samples) == (8, 500)
-    assert (wide_options.n_null_samples, wide_options.workers) == (200, 2)
+    assert (wide_options.n_null_samples, wide.workers) == (200, 2)
 
 
 def test_every_traced_name_resolves(tracing):

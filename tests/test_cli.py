@@ -1,6 +1,10 @@
-"""Command-line interface: subcommands, output files, exit codes."""
+"""Command-line interface: subcommands, output files, exit codes, and the
+command lines of README."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +93,26 @@ class TestSynth:
         field = flag[2:].replace("-", "_")
         lines = capsys.readouterr().err.splitlines()
         assert lines == [f"sigpca: error: {field} must be a finite number, got nan"]
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (
+                ["--scenario", "i", "--weak-var", "0.5", "--seed", "5", "--rows", "7"],
+                "synth: --rows, --weak-var, --seed not allowed with --scenario",
+            ),
+            (
+                ["--rows", "20", "--cols", "6", "--significant", "2", "--base-seed", "3"],
+                "synth: --base-seed allowed only with --scenario",
+            ),
+        ],
+        ids=["spec-flags-with-scenario", "grid-flag-without-scenario"],
+    )
+    def test_flags_of_the_other_route_fail_before_writing(self, tmp_path, capsys, flags, message):
+        out_dir = tmp_path / "x"
+        assert run_cli(["synth", *flags, "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"sigpca: error: {message}"]
         assert not out_dir.exists()
 
 
@@ -259,6 +283,7 @@ class TestExitCodes:
         assert run_cli(["analyze", str(data), "--null-samples", "0"]) == 1
         assert run_cli(["analyze", str(data), "--alpha", "2.0"]) == 1
         assert run_cli(["analyze", str(data), "--q-max", "1"]) == 1
+        assert run_cli(["analyze", str(data), "--workers", "0"]) == 1
 
     def test_numerical_failure_exits_2_without_partial_report(self, tmp_path, monkeypatch):
         data = synth_file(tmp_path, rows=12, cols=5, significant=2, seed=1)
@@ -276,3 +301,18 @@ class TestExitCodes:
         path = tmp_path / "bad.csv"
         path.write_text("c0,c1\n1.0,oops\n")
         assert run_cli(["analyze", str(path)]) == 1
+
+
+def test_readme_command_lines_parse():
+    # Every sigpca line of README's sh blocks, with "$ " prompts stripped
+    # and backslash continuations joined, so that a renamed or removed
+    # flag fails here and not in a reader's shell.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    parser = cli.build_parser()
+    commands = set()
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            line = line.removeprefix("$ ")
+            if line.startswith("sigpca "):
+                commands.add(parser.parse_args(shlex.split(line)[1:]).command)
+    assert commands == {"analyze", "synth", "validate"}

@@ -52,7 +52,7 @@ class TestAnalysisOptions:
         assert options.q_max is None
 
     def test_non_integer_counts_rejected(self):
-        for bad in (dict(n_null_samples=150.5), dict(max_iters=10.5), dict(workers=1.5)):
+        for bad in (dict(n_null_samples=150.5), dict(max_iters=10.5)):
             with pytest.raises(ConfigError):
                 AnalysisOptions(**bad)
 
@@ -202,18 +202,6 @@ class TestDeterminism:
         second = report_to_json(build_report(analyze_numeric(data, options), "x", options))
         assert first == second
 
-    def test_worker_count_does_not_change_report(self):
-        data = generate(SyntheticSpec(n_rows=30, n_cols=10, n_significant=2, seed=15))
-        serial_options = AnalysisOptions(workers=1, **FAST)
-        threaded_options = AnalysisOptions(workers=3, **FAST)
-        serial = report_to_json(build_report(analyze_numeric(data, serial_options), "x", serial_options))
-        threaded = report_to_json(
-            build_report(analyze_numeric(data, threaded_options), "x", threaded_options)
-        )
-        # Reports echo only analysis settings, not the worker count, so
-        # the bytes must match exactly.
-        assert serial == threaded
-
 
 def typed_table_with_missing_cells(seed: int, n: int = 150) -> Dataset:
     """Two latent factors behind 4 continuous, 3 four-level categorical and
@@ -356,10 +344,18 @@ class TestRunValidation:
             for cols, seed in ((8, 21), (10, 22), (12, 23))
         ]
         monkeypatch.setattr(pipeline, "scenario_grid", lambda *args, **kwargs: specs)
-        serial = run_validation("i", 1, 0, AnalysisOptions(n_null_samples=100, workers=1))
-        pooled = run_validation("i", 1, 0, AnalysisOptions(n_null_samples=100, workers=2))
+        options = AnalysisOptions(n_null_samples=100)
+        serial = run_validation("i", 1, 0, options, workers=1)
+        pooled = run_validation("i", 1, 0, options, workers=2)
         assert [run.seed for run in serial] == [21, 22, 23]
         assert pooled == serial
+
+    def test_worker_count_is_checked_and_is_no_analysis_option(self):
+        for bad in (0, 1.5):
+            with pytest.raises(ConfigError, match="workers"):
+                run_validation("i", 1, 0, AnalysisOptions(), workers=bad)
+        with pytest.raises(TypeError):
+            AnalysisOptions(workers=2)
 
     def test_options_seed_is_ignored(self, monkeypatch):
         specs = [

@@ -18,15 +18,16 @@ from sigpca import (
     ConfigError,
     DataError,
     MaskedMatrix,
+    Reconstruction,
+    ShapeError,
     VbpcaConfig,
     VbpcaModel,
     analyze_matrix,
     fit,
     reconstruct,
-    select_n_components,
 )
 from sigpca import vbpca
-from sigpca.vbpca import _free_energy
+from sigpca.vbpca import _free_energy, select_n_components
 
 
 def fit_q(data, q, seed=0, **kwargs):
@@ -376,6 +377,33 @@ class TestReconstruct:
             mc = mc_reconstruction_variance(model, n_draws=100_000, seed=100 + k)
             rel = np.abs(recon.var - mc) / mc
             assert rel.max() < 0.05
+
+    @pytest.mark.parametrize(
+        "mean, var, error",
+        [
+            (np.zeros(7), np.zeros(7), ShapeError),
+            (np.zeros((12, 7)), np.full(7, 0.01), ShapeError),
+            (np.zeros((12, 7)), 0.01, ShapeError),
+            (np.zeros((12, 7)), np.zeros((7, 12)), ShapeError),
+            (np.full((12, 7), np.nan), np.zeros((12, 7)), ConfigError),
+            (np.zeros((12, 7)), np.full((12, 7), -0.01), ConfigError),
+            (np.zeros((12, 7)), np.full((12, 7), np.nan), ConfigError),
+            (np.zeros((12, 7)), np.full((12, 7), np.inf), ConfigError),
+        ],
+        ids=[
+            "1-d-mean",
+            "column-var",
+            "scalar-var",
+            "transposed-var",
+            "nan-mean",
+            "negative-var",
+            "nan-var",
+            "inf-var",
+        ],
+    )
+    def test_reconstruction_rejects_what_is_not_shaped_like_data(self, mean, var, error):
+        with pytest.raises(error):
+            Reconstruction(mean=mean, var=var)
 
 
 class TestSelectNComponents:
