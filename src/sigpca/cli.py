@@ -6,14 +6,14 @@ benchmark datasets with a known significant count, ``validate`` sweeps a
 scenario grid and summarises recovery per grid cell.
 
 Exit codes: 0 on success, 1 for input or configuration problems
-(including unknown flags), 2 for numerical failures.  Reports are
-written atomically; a failed run never leaves a partial report behind.
+(including unknown flags), 2 for numerical failures.  Every file is
+written atomically, CSV files by ``csv_table`` and JSON files by
+``report_to_json``; a failed run never leaves a partial file behind.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
@@ -29,7 +29,6 @@ from .ingest import (
     load_matrix_csv,
     preprocess,
     read_schema,
-    write_matrix_csv,
 )
 from .pipeline import (
     AnalysisOptions,
@@ -75,6 +74,11 @@ def _write_atomic(path: str, text: str) -> None:
     try:
         with handle:
             handle.write(text)
+        # The temporary file is private (0600); give it the mode that a
+        # plain open() would, under the process umask.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(handle.name, 0o666 & ~umask)
         os.replace(handle.name, target)
     except BaseException:
         os.unlink(handle.name)
@@ -166,12 +170,11 @@ def cmd_synth(args) -> int:
         cell = f"synth_{spec.n_rows}x{spec.n_cols}_w{spec.n_significant}"
         stem = f"{cell}_r{replicates.get(cell, 0)}"
         replicates[cell] = replicates.get(cell, 0) + 1
-        write_matrix_csv(generate(spec), out_dir / f"{stem}.csv")
+        rows = generate(spec).values.tolist()
+        table = [{f"c{j}": x for j, x in enumerate(row)} for row in rows]
+        _write_atomic(str(out_dir / f"{stem}.csv"), csv_table(table))
         manifest.append({"data": f"{stem}.csv", "spec": asdict(spec)})
-    _write_atomic(
-        str(out_dir / "manifest.json"),
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-    )
+    _write_atomic(str(out_dir / "manifest.json"), report_to_json(manifest))
     return 0
 
 

@@ -1,5 +1,5 @@
 """CSV ingest: one CSV reader with two entry points, and one
-preprocessing pass for typed tables.
+preprocessing pass for typed tables.  The module only reads files.
 
 :func:`load_csv` (typed tables, checked against a schema) and
 :func:`load_matrix_csv` (plain numeric matrices) share one reader: it
@@ -8,12 +8,13 @@ masks missing tokens and reports bad cells by row and column.  The two
 sparse-column filters likewise share one keep computation.
 
 :func:`preprocess` visits each source column once: it drops the column
-if it is mostly missing, encodes it as its output block, and centers
-(and, if continuous, scales) that block.  Discrete columns are stored
-as level indices and become one indicator per declared level, in level
-order; ordinal columns whose schema entry sets ``as_numeric`` keep the
-level index as a numeric code instead.  The pass appends one line to
-the dataset's provenance log.
+if it is mostly missing, encodes it as its output block, centers that
+block, drops each of its columns that is then constant, and scales the
+continuous ones.  Discrete columns are stored as level indices and
+become one indicator per declared level, in level order; ordinal
+columns whose schema entry sets ``as_numeric`` keep the level index as
+a numeric code instead.  The pass appends one line to the dataset's
+provenance log.
 
 Schema-driven ingest is for heterogeneous tables whose columns live on
 unrelated scales.  Numeric matrices already on one common scale (the
@@ -196,10 +197,20 @@ def load_csv(path, schema, missing_tokens=DEFAULT_MISSING_TOKENS) -> Dataset:
     Cells are stripped of surrounding whitespace; a cell matching one of
     ``missing_tokens`` is recorded as missing.  Continuous cells must
     parse as numbers and discrete cells must match a declared level,
-    otherwise a LoadError names the offending row and column.
+    otherwise a LoadError names the offending row and column.  A level
+    that is also a missing token could never be read, so it is a
+    LoadError naming the column and the level.
     """
     schema = tuple(schema)
     names = [c.name for c in schema]
+    tokens = frozenset(missing_tokens)
+    for col in schema:
+        for level in col.levels or ():
+            if level in tokens:
+                raise LoadError(
+                    f"{path}: column {col.name!r}: level {level!r} is a missing "
+                    "token, so no cell can hold it"
+                )
 
     def parsers(header):
         if header != names:
@@ -211,7 +222,7 @@ def load_csv(path, schema, missing_tokens=DEFAULT_MISSING_TOKENS) -> Dataset:
     matrix = _read_csv(path, missing_tokens, parsers)
     step = (
         f"load_csv path={path} rows={matrix.n_rows} cols={matrix.n_cols} "
-        f"missing_tokens={sorted(frozenset(missing_tokens))!r}"
+        f"missing_tokens={sorted(tokens)!r}"
     )
     return Dataset(schema=schema, matrix=matrix, provenance=(step,))
 
@@ -221,22 +232,6 @@ def load_matrix_csv(path, missing_tokens=DEFAULT_MISSING_TOKENS) -> MaskedMatrix
     masked matrix.  Cells matching a missing token are masked out; any
     other cell must parse as a finite number."""
     return _read_csv(path, missing_tokens, lambda header: [_parse_number] * len(header))
-
-
-def write_matrix_csv(matrix: MaskedMatrix, path, missing_token: str = "NA") -> None:
-    """Write a masked matrix as a plain numeric CSV, inverse of
-    :func:`load_matrix_csv`.  Columns are headed c0, c1, ... and values
-    use shortest round-trip formatting."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([f"c{j}" for j in range(matrix.n_cols)])
-        for i in range(matrix.n_rows):
-            writer.writerow(
-                [
-                    repr(float(matrix.values[i, j])) if matrix.mask[i, j] else missing_token
-                    for j in range(matrix.n_cols)
-                ]
-            )
 
 
 def _dense_columns(matrix: MaskedMatrix, threshold: float) -> np.ndarray:
@@ -288,9 +283,11 @@ def preprocess(
     rows, so a missing cell is missing across the whole block; an
     ordinal flagged ``as_numeric`` keeps its level index, and a
     continuous column passes through.  Every output column is centered
-    on its observed mean.  Continuous columns are also scaled to unit
-    sample (n-1) standard deviation, and dropped if that is zero.  Each
-    kept column needs at least 2 observed entries.  One provenance line
+    on its observed mean and dropped if its sample (n-1) standard
+    deviation is then zero: a level no observed row has, a binary column
+    seen at one level, a constant code or number.  Continuous columns are
+    also scaled to unit sample standard deviation.  Each kept source
+    column needs at least 2 observed entries.  One provenance line
     names the sparse, encoded, scaled and zero-variance columns.
     """
     mat = dataset.matrix
@@ -323,11 +320,11 @@ def preprocess(
         for name, column in block:
             mean = column.mean()
             column = column - mean
+            std = float(np.sqrt(np.dot(column, column) / (column.size - 1)))
+            if std <= _ZERO_STD_RTOL * max(1.0, abs(mean)):
+                constant.append(name)
+                continue
             if col.kind == "continuous":
-                std = float(np.sqrt(np.dot(column, column) / (column.size - 1)))
-                if std <= _ZERO_STD_RTOL * max(1.0, abs(mean)):
-                    constant.append(name)
-                    continue
                 column = column / std
                 scaled.append(name)
             full = np.zeros(mat.n_rows)

@@ -216,7 +216,9 @@ def build_report(
     }
 
 
-def report_to_json(report: dict) -> str:
+def report_to_json(report: dict | list) -> str:
+    """Indented JSON text with sorted keys and a final newline: a report,
+    or the manifest of ``sigpca synth``."""
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 

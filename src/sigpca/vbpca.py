@@ -422,9 +422,10 @@ def fit(data: MaskedMatrix, config: VbpcaConfig) -> VbpcaModel:
 def _init_state(data: MaskedMatrix, q: int, seed: int):
     """Random starting point.
 
-    The initial loading and factor columns are drawn at the maximum
-    admissible count, min(n, p), and truncated to ``q``, so fits at
-    different counts with one seed start from a common prefix.
+    The initial loading and factor columns are drawn at min(n, p) columns
+    and truncated to ``q``.  The draw at that width is kept because every
+    report depends on its order; a start computed from the data (ROADMAP
+    item 2) would replace the draw.
     """
     n, p = data.shape
     cap = min(n, p)

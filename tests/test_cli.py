@@ -2,15 +2,17 @@
 command lines of README."""
 
 import json
+import os
 import re
 import shlex
+import stat
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sigpca.cli as cli
-from sigpca import NumericalError, ValidationRun
+from sigpca import NumericalError, SyntheticSpec, ValidationRun, csv_table, generate
 from sigpca.ingest import load_matrix_csv
 
 
@@ -52,6 +54,34 @@ class TestSynth:
         spec = manifest[0]["spec"]
         assert (spec["n_rows"], spec["n_cols"], spec["n_significant"]) == (20, 8, 2)
         assert spec["seed"] == 5
+
+    def test_data_file_is_the_csv_table_of_its_rows(self, tmp_path):
+        path = synth_file(tmp_path, rows=20, cols=8, significant=2, seed=5)
+        values = generate(SyntheticSpec(20, 8, 2, seed=5)).values
+        rows = [{f"c{j}": x for j, x in enumerate(row)} for row in values.tolist()]
+        assert b"\r" not in path.read_bytes()
+        assert path.read_text() == csv_table(rows)
+        assert load_matrix_csv(path).values.tobytes() == values.tobytes()
+
+    def test_written_files_get_the_mode_of_a_plain_open(self, tmp_path):
+        path = synth_file(tmp_path, rows=12, cols=5, significant=2, seed=1)
+        report = tmp_path / "report.json"
+        assert run_cli(["analyze", str(path), "--null-samples", "100", "--out", str(report)]) == 0
+        umask = os.umask(0)
+        os.umask(umask)
+        for written in (path, path.parent / "manifest.json", report):
+            assert stat.S_IMODE(written.stat().st_mode) == 0o666 & ~umask, written.name
+
+    def test_failed_write_leaves_no_data_file(self, tmp_path, monkeypatch, capsys):
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.os, "replace", fail)
+        out_dir = tmp_path / "x"
+        argv = ["synth", "--rows", "20", "--cols", "6", "--significant", "2"]
+        assert run_cli(argv + ["--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err == "sigpca: error: disk full\n"
+        assert list(out_dir.iterdir()) == []
 
     def test_rerun_is_byte_identical(self, tmp_path):
         first = synth_file(tmp_path / "a", rows=15, cols=6, significant=2, seed=9)
@@ -135,7 +165,10 @@ class TestAnalyze:
         )
         assert code == 0
         report = json.loads(capsys.readouterr().out)
+        # The line README prints for this round trip: 54 2 <0.002
+        assert report["n_components"] == 54
         assert report["n_significant"] == 2
+        assert report["ranks"][0]["raw_p_display"] == "<0.002"
 
     def test_out_file_matches_stdout(self, tmp_path, capsys):
         data = synth_file(tmp_path, rows=20, cols=8, significant=2, seed=1)

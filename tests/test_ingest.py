@@ -11,16 +11,12 @@ from sigpca import (
     Dataset,
     LoadError,
     MaskedMatrix,
+    csv_table,
     load_csv,
     preprocess,
     read_schema,
 )
-from sigpca.ingest import (
-    center_columns,
-    drop_sparse_matrix_columns,
-    load_matrix_csv,
-    write_matrix_csv,
-)
+from sigpca.ingest import center_columns, drop_sparse_matrix_columns, load_matrix_csv
 
 
 def write_lines(path, lines):
@@ -174,6 +170,25 @@ class TestLoadCsv:
         assert matrix.values.tobytes() == ds.matrix.values.tobytes()
         assert np.array_equal(matrix.mask, ds.matrix.mask)
 
+    @pytest.mark.parametrize(
+        "levels, tokens, level",
+        [
+            ("a,b,NA", ("", "NA"), "NA"),
+            ("a,,b", ("", "NA"), ""),
+            ("a,b,z", ("", "NA", "z"), "z"),
+        ],
+        ids=["NA", "empty", "custom-token"],
+    )
+    def test_level_that_is_a_missing_token_rejected(self, tmp_path, levels, tokens, level):
+        # Such a level's cells would all read as missing, and its
+        # indicator would be a column of zeros.
+        schema_path = tmp_path / "schema.txt"
+        write_lines(schema_path, ["h continuous", f"c categorical {levels}"])
+        path = tmp_path / "data.csv"
+        write_lines(path, ["h,c", "1.0,a", "2.0,b", "3.0,a"])
+        with pytest.raises(LoadError, match=f"column 'c': level '{level}' is a missing token"):
+            load_csv(path, read_schema(schema_path), missing_tokens=tokens)
+
 
 def make_dataset(schema, values, mask=None):
     values = np.asarray(values, dtype=np.float64)
@@ -254,6 +269,25 @@ class TestCenterScale:
         observed = out.matrix.values[:2, 0]
         assert observed.sum() == pytest.approx(0.0, abs=1e-12)
         assert out.matrix.values[2, 0] == 0.0
+
+    def test_constant_columns_of_every_kind_dropped(self):
+        # A declared level that no row has, a binary column seen at one
+        # level and a constant numeric ordinal each give a constant column.
+        schema = [
+            ColumnSchema("h", "continuous"),
+            ColumnSchema("c", "categorical", levels=("a", "b", "z")),
+            ColumnSchema("b", "binary", levels=("no", "yes")),
+            ColumnSchema("g", "ordinal", levels=("lo", "mid", "hi"), as_numeric=True),
+        ]
+        values = [[1.0, 0.0, 1.0, 2.0], [2.0, 1.0, 1.0, 2.0], [4.0, 0.0, 1.0, 2.0]]
+        out = preprocess(make_dataset(schema, values))
+        assert out.column_names == ("h", "c=a", "c=b")
+        assert out.provenance[-1].endswith("dropped_zero_variance=c=z,b=no,b=yes,g")
+        # The unused level leaves the same matrix as a schema without it.
+        schema[1] = ColumnSchema("c", "categorical", levels=("a", "b"))
+        same = preprocess(make_dataset(schema, values))
+        assert same.column_names == out.column_names
+        assert same.matrix.values.tobytes() == out.matrix.values.tobytes()
 
     def test_zero_variance_continuous_column_dropped_with_warning(self):
         ds = make_dataset(
@@ -458,7 +492,12 @@ class TestMatrixRoute:
         mask = np.array([[True, False], [True, True], [False, True]])
         matrix = MaskedMatrix(values, mask)
         path = tmp_path / "m.csv"
-        write_matrix_csv(matrix, path)
+        # None is written as an empty cell, a default missing token.
+        rows = [
+            {f"c{j}": v if m else None for j, (v, m) in enumerate(zip(v_row, m_row))}
+            for v_row, m_row in zip(values.tolist(), mask.tolist())
+        ]
+        path.write_text(csv_table(rows))
         again = load_matrix_csv(path)
         assert np.array_equal(matrix.values, again.values)
         assert np.array_equal(matrix.mask, again.mask)
