@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -66,22 +65,31 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _write_atomic(path: str, text: str) -> None:
-    target = Path(path)
-    handle = tempfile.NamedTemporaryFile(
-        "w", dir=target.parent or Path("."), suffix=".tmp", delete=False
-    )
+def _write_atomic(files) -> None:
+    """Write an iterable of (path, text) pairs, all or none.  Each text
+    goes to a new temporary file beside its path, created by ``open`` and
+    so given the umask's mode; once every text is written, each temporary
+    file replaces its path.  On any failure, including one raised while
+    the iterable makes its next pair, the temporary files are removed, and
+    so is every path already replaced, even where a file stood before."""
+    staged: list[tuple[Path, Path]] = []
+    placed: list[Path] = []
     try:
-        with handle:
-            handle.write(text)
-        # The temporary file is private (0600); give it the mode that a
-        # plain open() would, under the process umask.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(handle.name, 0o666 & ~umask)
-        os.replace(handle.name, target)
+        for path, text in files:
+            target = Path(path)
+            temp = target.with_name(f"{target.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+            handle = open(temp, "x")
+            staged.append((temp, target))
+            with handle:
+                handle.write(text)
+        for temp, target in staged:
+            os.replace(temp, target)
+            placed.append(target)
     except BaseException:
-        os.unlink(handle.name)
+        for temp, _ in staged:
+            temp.unlink(missing_ok=True)
+        for target in placed:
+            target.unlink()
         raise
 
 
@@ -89,7 +97,7 @@ def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        _write_atomic(path, text)
+        _write_atomic([(path, text)])
 
 
 def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
@@ -143,7 +151,7 @@ def cmd_analyze(args) -> int:
     primary = report_to_json(report) if args.format == "json" else csv_table(report["ranks"])
     _emit(primary, args.out)
     if args.csv_out is not None:
-        _write_atomic(args.csv_out, csv_table(report["ranks"]))
+        _write_atomic([(args.csv_out, csv_table(report["ranks"]))])
     return 0
 
 
@@ -164,6 +172,13 @@ def cmd_synth(args) -> int:
         raise SigpcaError("synth needs --rows, --cols and --significant (or --scenario)")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    _write_atomic(_synth_files(specs, out_dir))
+    return 0
+
+
+def _synth_files(specs, out_dir: Path):
+    """(path, text) of each data file of ``specs``, generated one at a
+    time, then of the manifest."""
     manifest = []
     replicates: dict[str, int] = {}  # files written per grid cell
     for spec in specs:
@@ -172,10 +187,9 @@ def cmd_synth(args) -> int:
         replicates[cell] = replicates.get(cell, 0) + 1
         rows = generate(spec).values.tolist()
         table = [{f"c{j}": x for j, x in enumerate(row)} for row in rows]
-        _write_atomic(str(out_dir / f"{stem}.csv"), csv_table(table))
+        yield out_dir / f"{stem}.csv", csv_table(table)
         manifest.append({"data": f"{stem}.csv", "spec": asdict(spec)})
-    _write_atomic(str(out_dir / "manifest.json"), report_to_json(manifest))
-    return 0
+    yield out_dir / "manifest.json", report_to_json(manifest)
 
 
 def cmd_validate(args) -> int:
@@ -189,7 +203,7 @@ def cmd_validate(args) -> int:
     )
     _emit(csv_table(summarize_validation(runs)), args.out)
     if args.runs_out is not None:
-        _write_atomic(args.runs_out, csv_table([asdict(run) for run in runs]))
+        _write_atomic([(args.runs_out, csv_table([asdict(run) for run in runs]))])
     return 0
 
 

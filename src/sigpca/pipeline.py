@@ -131,7 +131,7 @@ def analyze_matrix(data: MaskedMatrix, options: AnalysisOptions) -> AnalysisResu
         mean=recon.mean, var=recon.var + model.noise_var
     )
     posterior, null = sample_rank_null_spectra(predictive, spectrum, sig_config)
-    test = count_significant(spectrum, null, sig_config, posterior)
+    test = count_significant(posterior, null, sig_config)
     return AnalysisResult(recon=recon, spectrum=spectrum, test=test)
 
 
@@ -161,7 +161,9 @@ def build_report(
     for the null quantiles of kept ranks whose null was retired because
     the test could no longer reach them.
     The shape and the total variance, against which each rank's
-    variance fraction is taken, are those of the reconstruction mean.
+    variance fraction is taken, are those of the reconstruction mean;
+    ``raw_p_display`` takes its draw count from ``options``, as the
+    ``config`` block does.
     """
     test = result.test
     q = result.n_components
@@ -186,7 +188,7 @@ def build_report(
                 "variance_fraction": float(fractions[r]),
                 "raw_p": float(test.raw_p[r]) if tested else None,
                 "raw_p_display": (
-                    format_p(float(test.raw_p[r]), test.n_null_samples)
+                    format_p(float(test.raw_p[r]), options.n_null_samples)
                     if tested
                     else None
                 ),

@@ -311,43 +311,41 @@ class SpectrumTestResult:
     ``null_quantiles`` holds the 5/50/95 percent points of the null
     normalised values for every rank, shape (q, 3); its rows are NaN for
     ranks whose null was retired (an all-NaN null column), all of which
-    lie after the last tested rank.  The spectrum and the error level are
-    the caller's: this holds only what the test found.
+    lie after the last tested rank.  The spectrum, the draw count and the
+    error level are the caller's: this holds only what the test found.
     """
 
     raw_p: np.ndarray
     adjusted_p: np.ndarray
     n_significant: int
     null_quantiles: np.ndarray
-    n_null_samples: int
 
 
 def count_significant(
-    spectrum: Spectrum,
+    posterior: np.ndarray,
     null: np.ndarray,
     config: SigTestConfig,
-    posterior: np.ndarray,
 ) -> SpectrumTestResult:
     """Sequentially test ranks against per-rank null spectra.
 
     ``posterior`` and ``null`` are the paired (n_samples, q) arrays of
-    ``sample_rank_null_spectra``.  The raw value at rank r is the fraction
-    of draws whose null value at rank r reaches the posterior value; a
-    rank whose null draws equal the posterior ones gets a raw value of 1.
-    Ranks are tested from the top; after Holm adjustment sized to the full
-    spectrum, testing stops at the first rank that is not significant.
-    Reaching a rank whose null column is not fully drawn (a retired null,
-    which only a larger alpha than the sampler's can reach) raises
-    ``ConfigError``.
+    ``sample_rank_null_spectra``, in the order it returns them; q, the
+    Holm family size, and the draw count are read from their shape.  The
+    raw value at rank r is the fraction of draws whose null value at rank
+    r reaches the posterior value; a rank whose null draws equal the
+    posterior ones gets a raw value of 1.  Ranks are tested from the top;
+    after Holm adjustment sized to the full spectrum, testing stops at the
+    first rank that is not significant.  Reaching a rank whose null column
+    is not fully drawn (a retired null, which only a larger alpha than the
+    sampler's can reach) raises ``ConfigError``.
     """
-    q = spectrum.n_ranks
-    if q < 2:
-        raise ConfigError(f"spectrum must have at least 2 ranks, got {q}")
-    if null.ndim != 2 or null.shape[1] != q or null.shape[0] < 1:
-        raise ShapeError(f"null spectra of shape {null.shape} do not fit {q} ranks")
+    if null.ndim != 2 or null.shape[0] < 1:
+        raise ShapeError(f"null spectra of shape {null.shape} are not (n_samples, q)")
     if posterior.shape != null.shape:
         raise ShapeError("posterior spectra must pair row by row with the null spectra")
-    n_null = null.shape[0]
+    n_null, q = null.shape
+    if q < 2:
+        raise ConfigError(f"spectrum must have at least 2 ranks, got {q}")
     # The Holm values of a prefix of the ranks are the prefix of the Holm
     # values of all ranks, so every rank is adjusted at once and the result
     # cut after the first rank that is not significant.
@@ -371,5 +369,4 @@ def count_significant(
         adjusted_p=adjusted,
         n_significant=n_significant,
         null_quantiles=quantiles,
-        n_null_samples=n_null,
     )

@@ -289,13 +289,19 @@ def fit(data: MaskedMatrix, config: VbpcaConfig) -> VbpcaModel:
 
     The component count is ``config.n_components``, or by default
     min(n - 1, p - 1, DEFAULT_Q_CAP).  Raises ConfigError unless it lies
-    in [2, min(n, p)], DataError if a column has no observed entries,
-    NumericalError if the cost becomes non-finite.
+    in [2, min(n, p)] (naming the default rule when that resolves below
+    2, as it does with 2 rows or 2 columns), DataError if a column has no
+    observed entries, NumericalError if the cost becomes non-finite.
     """
     n, p = data.shape
     q = config.n_components
     if q is None:
         q = min(n - 1, p - 1, DEFAULT_Q_CAP)
+        if q < 2:
+            raise ConfigError(
+                f"shape {data.shape} is too small: the default component count "
+                f"min(rows - 1, cols - 1, {DEFAULT_Q_CAP}) is {q}, and a fit needs at least 2"
+            )
     if not 2 <= q <= min(n, p):
         raise ConfigError(
             f"n_components={q} out of range [2, {min(n, p)}] for shape {data.shape}"

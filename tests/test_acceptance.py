@@ -214,7 +214,7 @@ def test_c6_normalization_and_test_invariances():
         spectrum = reconstruction_spectrum(mean, q=6)
         predictive = Reconstruction(mean=mean, var=var + model.noise_var)
         posterior, null = sample_rank_null_spectra(predictive, spectrum, cfg)
-        return count_significant(spectrum, null, cfg, posterior).n_significant
+        return count_significant(posterior, null, cfg).n_significant
 
     base_count = count(recon.mean, recon.var)
     perm = gen.permutation(50)
@@ -256,7 +256,7 @@ def test_c7_false_positive_rate_on_pure_null():
     for seed in range(50):
         cfg = SigTestConfig(n_null_samples=500, alpha=0.05, seed=seed)
         posterior, null = sample_rank_null_spectra(predictive, spectrum, cfg)
-        result = count_significant(spectrum, null, cfg, posterior)
+        result = count_significant(posterior, null, cfg)
         false_positives += result.n_significant >= 1
         top_p.append(float(result.raw_p[0]))
     rate = false_positives / 50.0
@@ -288,7 +288,7 @@ def test_c6_paired_count_invariant_under_row_permutation():
         spectrum = reconstruction_spectrum(mean, q=6)
         predictive = Reconstruction(mean=mean, var=var + model.noise_var)
         posterior, null = sample_rank_null_spectra(predictive, spectrum, cfg)
-        return count_significant(spectrum, null, cfg, posterior).n_significant
+        return count_significant(posterior, null, cfg).n_significant
 
     base_count = count(recon.mean, recon.var)
     perm = gen.permutation(50)

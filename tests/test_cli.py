@@ -83,6 +83,27 @@ class TestSynth:
         assert capsys.readouterr().err == "sigpca: error: disk full\n"
         assert list(out_dir.iterdir()) == []
 
+    def test_grid_failing_midway_leaves_no_file_of_the_run(self, tmp_path, monkeypatch, capsys):
+        out_dir = tmp_path / "grid"
+        out_dir.mkdir()
+        (out_dir / "notes.txt").write_text("kept\n")
+        replace = os.replace
+        calls = []
+
+        def fail_fourth(src, dst):
+            calls.append(dst)
+            if len(calls) == 4:
+                raise OSError("disk full")
+            replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", fail_fourth)
+        argv = ["synth", "--scenario", "i", "--replicates", "1", "--out-dir", str(out_dir)]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == "sigpca: error: disk full\n"
+        assert len(calls) == 4
+        assert [path.name for path in out_dir.iterdir()] == ["notes.txt"]
+        assert (out_dir / "notes.txt").read_text() == "kept\n"
+
     def test_rerun_is_byte_identical(self, tmp_path):
         first = synth_file(tmp_path / "a", rows=15, cols=6, significant=2, seed=9)
         second = synth_file(tmp_path / "b", rows=15, cols=6, significant=2, seed=9)
@@ -178,6 +199,31 @@ class TestAnalyze:
         out_path = tmp_path / "report.json"
         assert run_cli(args + ["--out", str(out_path)]) == 0
         assert out_path.read_text() == stdout_text
+
+    def test_report_written_without_touching_the_umask(self, tmp_path, monkeypatch):
+        data = synth_file(tmp_path, rows=12, cols=5, significant=2, seed=1)
+        umask = os.umask(0)
+        os.umask(umask)
+
+        def refuse(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", refuse)
+        report = tmp_path / "report.json"
+        assert run_cli(["analyze", str(data), "--null-samples", "100", "--out", str(report)]) == 0
+        assert stat.S_IMODE(report.stat().st_mode) == 0o666 & ~umask
+        assert json.loads(report.read_text())["rows"] == 12
+
+    @pytest.mark.parametrize("shape", [(100, 2), (2, 100)], ids=["two-cols", "two-rows"])
+    def test_two_rows_or_columns_name_the_default_count_rule(self, tmp_path, capsys, shape):
+        values = np.random.default_rng(5).standard_normal(shape)
+        path = tmp_path / "small.csv"
+        path.write_text(csv_table([{f"c{j}": x for j, x in enumerate(row)} for row in values.tolist()]))
+        assert run_cli(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"shape {shape}" in err
+        assert "min(rows - 1, cols - 1, 60)" in err
+        assert "n_components=1" not in err
 
     def test_csv_format_and_csv_out(self, tmp_path, capsys):
         data = synth_file(tmp_path, rows=20, cols=8, significant=2, seed=1)

@@ -397,7 +397,7 @@ class TestDocumentedChain:
         )
         predictive = Reconstruction(recon.mean, recon.var + model.noise_var)
         posterior, null = sample_rank_null_spectra(predictive, spectrum, sig_config)
-        test = count_significant(spectrum, null, sig_config, posterior)
+        test = count_significant(posterior, null, sig_config)
 
         expected = analyze_matrix(data, options).test
         assert test.n_significant == expected.n_significant

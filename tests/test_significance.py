@@ -278,7 +278,7 @@ class TestSampleRankNullSpectra:
         cfg = SigTestConfig(n_null_samples=100)
         posterior, null = sample_rank_null_spectra(recon, spectrum, cfg)
         assert np.array_equal(null[:, :2], np.zeros((100, 2)))
-        result = count_significant(spectrum, null, cfg, posterior)
+        result = count_significant(posterior, null, cfg)
         assert result.n_significant == 2
         assert np.array_equal(result.raw_p, [0.0, 0.0, 1.0])
 
@@ -305,7 +305,7 @@ class TestSampleRankNullSpectra:
         # direct computation to rounding.
         assert_nulls_match(null[:, drawn], expected_null[:, drawn])
         # Retired nulls are kept ranks past the last rank the test reaches.
-        n_tested = count_significant(spectrum, null, cfg, posterior).raw_p.size
+        n_tested = count_significant(posterior, null, cfg).raw_p.size
         assert np.count_nonzero(retired) == n_retired
         assert np.all(np.flatnonzero(retired) >= n_tested)
         assert np.all(np.flatnonzero(retired) < k)
@@ -427,7 +427,7 @@ class TestNullRetirement:
         spectrum = reconstruction_spectrum(recon.mean, q=q)
         assert np.count_nonzero(spectrum.eigenvalues) == k
         posterior, null = sample_rank_null_spectra(recon, spectrum, cfg)
-        result = count_significant(spectrum, null, cfg, posterior)
+        result = count_significant(posterior, null, cfg)
         ref_post, ref_null = full or full_draw_reference(recon, q, k, cfg)
         assert np.array_equal(posterior, ref_post)
         exceed = np.count_nonzero(ref_null >= ref_post, axis=0)
@@ -460,16 +460,16 @@ class TestNullRetirement:
         cfg = SigTestConfig(n_null_samples=100, alpha=0.05, seed=3)
         posterior, null = sample_rank_null_spectra(recon, spectrum, cfg)
         assert np.array_equal(np.flatnonzero(retired_ranks(null)), [2, 3, 4])
-        result = count_significant(spectrum, null, cfg, posterior)
+        result = count_significant(posterior, null, cfg)
         # Rank 2's raw p of 0.01 times 7 ranks stops the test at alpha
         # 0.05; at alpha 0.2 it passes and the test reaches rank 3.
         assert np.array_equal(result.raw_p, [0.0, 0.01])
         looser = SigTestConfig(n_null_samples=100, alpha=0.2, seed=3)
         with pytest.raises(ConfigError, match="rank 3"):
-            count_significant(spectrum, null, looser, posterior)
+            count_significant(posterior, null, looser)
         # A smaller alpha stops no later and never needs a retired rank.
         stricter = SigTestConfig(n_null_samples=100, alpha=0.01, seed=3)
-        assert np.array_equal(count_significant(spectrum, null, stricter, posterior).raw_p, [0.0, 0.01])
+        assert np.array_equal(count_significant(posterior, null, stricter).raw_p, [0.0, 0.01])
 
 
 class TestSharedNoiseGram:
@@ -570,19 +570,17 @@ def constant_null(rows: np.ndarray, n_samples: int = 200) -> np.ndarray:
 
 class TestCountSignificant:
     def test_clear_cut_two_significant_ranks(self):
-        observed = Spectrum(np.array([40.0, 20.0, 1.0, 0.5]))
         posterior = constant_null(np.array([2.0, 1.5, 0.1, 0.0]))
         null = constant_null(np.array([0.5, 0.4, 0.3, 0.0]))
-        result = count_significant(observed, null, SigTestConfig(n_null_samples=200), posterior)
+        result = count_significant(posterior, null, SigTestConfig(n_null_samples=200))
         assert result.n_significant == 2
         assert np.array_equal(result.raw_p, [0.0, 0.0, 1.0])
         assert np.array_equal(result.adjusted_p, [0.0, 0.0, 1.0])
 
     def test_testing_stops_at_first_non_significant_rank(self):
-        observed = Spectrum(np.array([40.0, 20.0, 10.0, 5.0]))
         posterior = constant_null(np.array([0.1, 2.0, 2.0, 2.0]))
         null = constant_null(np.array([0.5, 0.4, 0.3, 0.0]))
-        result = count_significant(observed, null, SigTestConfig(n_null_samples=200), posterior)
+        result = count_significant(posterior, null, SigTestConfig(n_null_samples=200))
         # Rank 1 fails immediately; later ranks are never tested.
         assert result.n_significant == 0
         assert result.raw_p.shape == (1,)
@@ -598,8 +596,7 @@ class TestCountSignificant:
         posterior = null + gen.uniform(-0.002, 1.0, size=(n_samples, q)) * [1, 1, 0, 0, 0]
         posterior[:, 2] += gen.uniform(-0.5, 0.5, size=n_samples)
         posterior[0, :2] = null[0, :2]
-        observed = Spectrum(np.array([5.0, 4.0, 3.0, 2.0, 1.0]))
-        result = count_significant(observed, null, SigTestConfig(n_null_samples=400), posterior)
+        result = count_significant(posterior, null, SigTestConfig(n_null_samples=400))
         assert result.raw_p.size == 3
         for r, raw in enumerate(result.raw_p):
             expected = np.count_nonzero(null[:, r] >= posterior[:, r]) / n_samples
@@ -615,10 +612,8 @@ class TestCountSignificant:
             null = np.abs(gen.standard_normal((n_samples, q)))
             null[:, -1] = 0.0
             posterior = null + gen.standard_normal((n_samples, q)) + gen.uniform(0, 4, size=q)
-            lam = np.sort(gen.uniform(1, 10, size=q))[::-1]
-            observed = Spectrum(lam)
             cfg = SigTestConfig(n_null_samples=n_samples, alpha=0.05)
-            result = count_significant(observed, null, cfg, posterior)
+            result = count_significant(posterior, null, cfg)
             w = result.n_significant
             assert result.raw_p.shape == result.adjusted_p.shape
             assert len(result.raw_p) <= q
@@ -638,38 +633,33 @@ class TestCountSignificant:
         gen = np.random.default_rng(30)
         null = np.abs(gen.standard_normal((n_samples, q))) + 0.01
         null[:, -1] = 0.0
-        observed = Spectrum(np.zeros(q))
-        result = count_significant(observed, null, SigTestConfig(n_null_samples=n_samples), null)
+        result = count_significant(null, null, SigTestConfig(n_null_samples=n_samples))
         assert result.n_significant == 0
         assert result.raw_p[0] == 1.0
 
     def test_shape_mismatch_rejected(self):
-        observed = Spectrum([4.0, 2.0, 1.0])
-        null = constant_null(np.array([0.5, 0.0]))
+        null = constant_null(np.array([0.5, 0.4, 0.0]))
         with pytest.raises(ShapeError):
-            count_significant(observed, null, SigTestConfig(), null)
+            count_significant(null[0], null[0], SigTestConfig())
         with pytest.raises(ShapeError):
             count_significant(
-                observed,
-                constant_null(np.array([0.5, 0.4, 0.0])),
-                SigTestConfig(),
                 constant_null(np.array([0.5, 0.4, 0.0]), n_samples=100),
+                null,
+                SigTestConfig(),
             )
 
     def test_paired_null_reaching_the_posterior_counts_against_the_rank(self):
-        observed = Spectrum(np.array([4.0, 2.0, 1.0]))
         posterior = constant_null(np.array([1.8, 1.2, 0.0]))
         null = constant_null(np.array([0.5, 1.2, 0.0]))
-        result = count_significant(observed, null, SigTestConfig(n_null_samples=200), posterior)
+        result = count_significant(posterior, null, SigTestConfig(n_null_samples=200))
         # Rank 1 drops below the posterior in every draw; rank 2 ties it.
         assert np.array_equal(result.raw_p, [0.0, 1.0])
         assert result.n_significant == 1
 
     def test_single_rank_spectrum_rejected(self):
-        observed = Spectrum([4.0])
         null = constant_null(np.array([0.0]))
         with pytest.raises(ConfigError):
-            count_significant(observed, null, SigTestConfig(), null)
+            count_significant(null, null, SigTestConfig())
 
 
 class TestEndToEndSpectrumProperties:
@@ -688,7 +678,7 @@ class TestEndToEndSpectrumProperties:
             spectrum = reconstruction_spectrum(mean, q=6)
             predictive = Reconstruction(mean=mean, var=var + model.noise_var)
             posterior, null = sample_rank_null_spectra(predictive, spectrum, cfg)
-            return count_significant(spectrum, null, cfg, posterior).n_significant
+            return count_significant(posterior, null, cfg).n_significant
 
         perm = np.random.default_rng(32).permutation(40)
         assert count(recon.mean, recon.var) == 2
