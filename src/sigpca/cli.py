@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -65,25 +66,40 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@contextmanager
+def _naming(target: Path):
+    """Re-raise an ``OSError`` that names a file (the temporary one) as
+    the same error naming ``target``, the path the user gave."""
+    try:
+        yield
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, str(target)) from exc
+
+
 def _write_atomic(files) -> None:
     """Write an iterable of (path, text) pairs, all or none.  Each text
     goes to a new temporary file beside its path, created by ``open`` and
     so given the umask's mode; once every text is written, each temporary
     file replaces its path.  On any failure, including one raised while
     the iterable makes its next pair, the temporary files are removed, and
-    so is every path already replaced, even where a file stood before."""
+    so is every path already replaced, even where a file stood before.
+    An error that names a file names the path, not its temporary file."""
     staged: list[tuple[Path, Path]] = []
     placed: list[Path] = []
     try:
         for path, text in files:
             target = Path(path)
             temp = target.with_name(f"{target.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
-            handle = open(temp, "x")
-            staged.append((temp, target))
-            with handle:
-                handle.write(text)
+            with _naming(target):
+                handle = open(temp, "x")
+                staged.append((temp, target))
+                with handle:
+                    handle.write(text)
         for temp, target in staged:
-            os.replace(temp, target)
+            with _naming(target):
+                os.replace(temp, target)
             placed.append(target)
     except BaseException:
         for temp, _ in staged:
@@ -123,7 +139,7 @@ def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _options_from_args(args, seed: int = AnalysisOptions.seed) -> AnalysisOptions:
+def _options_from_args(args, seed: int) -> AnalysisOptions:
     return AnalysisOptions(
         alpha=args.alpha,
         n_null_samples=args.null_samples,
@@ -193,13 +209,9 @@ def _synth_files(specs, out_dir: Path):
 
 
 def cmd_validate(args) -> int:
-    options = _options_from_args(args)
+    options = _options_from_args(args, seed=args.base_seed)
     runs = run_validation(
-        args.scenario,
-        replicates=args.replicates,
-        base_seed=args.base_seed,
-        options=options,
-        workers=args.workers,
+        args.scenario, replicates=args.replicates, options=options, workers=args.workers
     )
     _emit(csv_table(summarize_validation(runs)), args.out)
     if args.runs_out is not None:

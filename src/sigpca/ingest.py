@@ -150,10 +150,11 @@ def _read_csv(path, missing_tokens, column_parsers) -> MaskedMatrix:
     column.  Cells are stripped of surrounding whitespace; a cell matching
     one of ``missing_tokens`` is recorded as missing, and any other cell
     goes to its column's parser, whose ValueError becomes a LoadError
-    naming the row and column.
+    naming the row and column.  The file is read as UTF-8; a leading
+    byte-order mark, which spreadsheet exports write, is skipped.
     """
     tokens = frozenset(missing_tokens)
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = [h.strip() for h in next(reader)]
@@ -352,10 +353,11 @@ def read_schema(path) -> tuple[ColumnSchema, ...]:
     One column per line: ``name kind`` for continuous columns,
     ``name kind level,level,...`` for discrete ones, with an optional
     trailing ``numeric`` token for ordinals kept as numeric codes.
-    Blank lines and ``#`` comments are ignored.
+    Blank lines and ``#`` comments are ignored.  The file is read as
+    UTF-8, with or without a byte-order mark.
     """
     columns: list[ColumnSchema] = []
-    with open(path) as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for line_num, line in enumerate(handle, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

@@ -47,10 +47,6 @@ _RUN_SEED_TAG = 101
 
 _CENTER_RTOL = 1e-6
 
-# Reconstruction eigenvalues below this fraction of the total observed
-# data energy count as numerical residue, not structure.
-_SPECTRUM_FLOOR_REL = 1e-9
-
 
 @dataclass(frozen=True)
 class AnalysisOptions:
@@ -116,21 +112,9 @@ def analyze_matrix(data: MaskedMatrix, options: AnalysisOptions) -> AnalysisResu
     fit_config, sig_config = options.stage_configs()
     model = select_n_components(data, fit_config)
     recon = reconstruct(model)
-    # Anchor the spectrum floor to the energy of the data so that a
-    # reconstruction made of numerical residue (a fit that pruned every
-    # component) produces an exactly zero spectrum.
-    flat_data = data.values.ravel()
-    energy_floor = _SPECTRUM_FLOOR_REL * float(np.dot(flat_data, flat_data))
-    spectrum = reconstruction_spectrum(recon.mean, model.n_components, energy_floor)
-    # Replicate data matrices come from the posterior predictive: the
-    # reconstruction's own uncertainty plus the fitted noise.  Against the
-    # reconstruction variance alone, which shrinks as rows and columns
-    # grow, any component the fit keeps would look significant, even a
-    # direction of pure noise.
-    predictive = Reconstruction(
-        mean=recon.mean, var=recon.var + model.noise_var
-    )
-    posterior, null = sample_rank_null_spectra(predictive, spectrum, sig_config)
+    flat = data.values.ravel()  # masked-out entries are zero
+    spectrum = reconstruction_spectrum(recon.mean, model.n_components, float(np.dot(flat, flat)))
+    posterior, null = sample_rank_null_spectra(recon, spectrum, sig_config, model.noise_var)
     test = count_significant(posterior, null, sig_config)
     return AnalysisResult(recon=recon, spectrum=spectrum, test=test)
 
@@ -260,18 +244,18 @@ def _run_one_validation(spec: SyntheticSpec, options: AnalysisOptions) -> tuple[
 def run_validation(
     scenario: str,
     replicates: int,
-    base_seed: int,
     options: AnalysisOptions,
     workers: int = 1,
 ) -> list[ValidationRun]:
     """Analyze every dataset of a scenario grid.
 
-    ``workers`` processes share the datasets; each run's seeds derive
-    only from its spec, so results are identical for any worker count.
-    ``options.seed`` is ignored: the seeds come from ``base_seed`` alone.
+    ``options.seed`` is the grid's base seed, from which each spec's seed
+    and each run's analysis seed derive.  ``workers`` processes share the
+    datasets; each run's seeds derive only from its spec, so results are
+    identical for any worker count.
     """
     _check_count("workers", workers, 1)
-    specs = scenario_grid(scenario, base_seed=base_seed, replicates=replicates)
+    specs = scenario_grid(scenario, base_seed=options.seed, replicates=replicates)
     run_options = [
         replace(options, seed=derive_seed(spec.seed, _RUN_SEED_TAG)) for spec in specs
     ]

@@ -4,9 +4,9 @@ The observed spectrum comes from the Gram matrix of the reconstruction
 mean.  Each eigenvalue is normalised against the tail that follows it,
 which removes overall scale and lets spectra of different matrices be
 compared rank by rank.  Spectra are sampled by perturbing every matrix
-entry independently with a given variance: the posterior reconstruction
-variance, or (as analyses do) that plus the noise variance, which makes
-each draw a replicate data matrix from the posterior predictive.  The
+entry independently with the posterior reconstruction variance plus
+the fitted noise variance, which makes each draw a replicate data
+matrix drawn from the model's elementwise posterior predictive.  The
 null for rank r adds the same perturbations to the reconstruction mean
 with its components at ranks r and beyond removed, so each draw shows
 what rank r would look like without its component.  Draws run one after
@@ -50,6 +50,9 @@ _QUANTILES = (5.0, 50.0, 95.0)
 # Without the cutoff their ratios would masquerade as structure when the
 # tail of the spectrum is normalised.
 _RANK_TOL_REL = 1e-9
+# Reconstruction eigenvalues below this fraction of the data's energy
+# count as numerical residue, not structure.
+_SPECTRUM_FLOOR_REL = 1e-9
 
 
 def normalized_eigenvalues(eigenvalues) -> np.ndarray:
@@ -134,25 +137,28 @@ def _top_eigenvalues(x: np.ndarray, q: int, energy_floor: float = 0.0) -> np.nda
     return _rank_cutoff(sym_eigvals(_gram(x))[:q], energy_floor)
 
 
-def reconstruction_spectrum(x_mean, q: int, energy_floor: float = 0.0) -> Spectrum:
+def reconstruction_spectrum(x_mean, q: int, data_energy: float = 0.0) -> Spectrum:
     """Spectrum of the reconstruction mean truncated to the top q ranks.
 
-    Eigenvalues at or below ``energy_floor`` are reported as exact
-    zeros, and the spectrum keeps the floor for its null draws.
-    Analyses anchor it to the total energy of the data matrix, so that
-    a reconstruction made entirely of numerical residue (all its
-    eigenvalues a vanishing fraction of the data energy) yields an
-    exactly zero spectrum instead of a spectrum of noise ratios; a
-    floor relative to the leading eigenvalue cannot make that call,
-    because it only sees the reconstruction itself.  The default
-    applies only the relative rank cutoff.
+    ``data_energy`` is the sum of squares of the data matrix (finite and
+    >= 0, else ``ConfigError``).  Eigenvalues at or below the floor
+    ``_SPECTRUM_FLOOR_REL * data_energy`` are reported as exact zeros,
+    and the spectrum keeps that absolute floor for its null draws.  So a
+    reconstruction made entirely of numerical residue (a fit that pruned
+    every component) yields an exactly zero spectrum instead of a
+    spectrum of noise ratios; a floor relative to the leading eigenvalue
+    cannot make that call, because it only sees the reconstruction
+    itself.  The default applies only the relative rank cutoff.
     """
     x = np.asarray(x_mean, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"x_mean must be 2-D, got ndim={x.ndim}")
     if not 2 <= q <= min(x.shape):
         raise ConfigError(f"q={q} out of range [2, {min(x.shape)}] for shape {x.shape}")
-    return Spectrum(_top_eigenvalues(x, q, energy_floor), energy_floor)
+    if not 0.0 <= data_energy < np.inf:
+        raise ConfigError(f"data_energy must be finite and >= 0, got {data_energy}")
+    floor = _SPECTRUM_FLOOR_REL * data_energy
+    return Spectrum(_top_eigenvalues(x, q, floor), floor)
 
 
 @dataclass(frozen=True)
@@ -176,21 +182,26 @@ def sample_rank_null_spectra(
     recon: Reconstruction,
     spectrum: Spectrum,
     config: SigTestConfig,
+    noise_var: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior spectra paired draw by draw with per-rank null spectra.
 
     Returns two read-only (n_samples, q) arrays of normalised values,
-    q = ``spectrum.n_ranks``.  Row k of the first is the spectrum of the
+    q = ``spectrum.n_ranks``.  Row k of the first is the spectrum of a
+    replicate data matrix from the posterior predictive: the
     reconstruction mean perturbed entrywise by normal noise scaled by
-    ``sqrt(recon.var)``, drawn from the stream (seed, k), so a run with
-    more samples extends a run with fewer.  Column r (0-based) of row k
-    of the second is rank r of the spectrum of the same perturbation
-    added to the best rank-r approximation of the mean: the draw had the
-    mean no component at ranks r and beyond.  Ranks at which ``spectrum``
-    is zero have nothing to remove; their columns equal the posterior's.
-    Every draw is cut at ``spectrum.floor``, as the spectrum was.  Analyses
-    pass the posterior predictive (``recon.var`` plus the noise variance),
-    so that a component is judged against the noise in the data.
+    ``sqrt(recon.var + noise_var)``, drawn from the stream (seed, k), so a
+    run with more samples extends a run with fewer.  The fitted noise
+    variance ``noise_var`` (finite and >= 0, else ``ConfigError``) is what
+    judges a component against the noise in the data: against the
+    reconstruction variance alone, which shrinks as the matrix grows,
+    every component the fit keeps would look significant, even a
+    direction of pure noise.  Column r (0-based) of row k of the second
+    is rank r of the spectrum of the same perturbation added to the best
+    rank-r approximation of the mean: the draw had the mean no component
+    at ranks r and beyond.  Ranks at which ``spectrum`` is zero have
+    nothing to remove; their columns equal the posterior's.  Every draw is
+    cut at ``spectrum.floor``, as the spectrum was.
 
     Each draw takes the eigenvalues of the posterior Gram matrix and of
     its live ranks' null Gram matrices in one ``sym_eigvals`` call.  The
@@ -213,8 +224,10 @@ def sample_rank_null_spectra(
         raise ConfigError(
             f"q={q} out of range [2, {min(mean.shape)}] for shape {mean.shape}"
         )
+    if not 0.0 <= noise_var < np.inf:
+        raise ConfigError(f"noise_var must be finite and >= 0, got {noise_var}")
     n_removed = int(np.count_nonzero(spectrum.eigenvalues))
-    std = np.sqrt(recon.var)
+    std = np.sqrt(recon.var + noise_var)
     # Null Grams are built in the frame x whose x'x is the side _gram
     # takes: the mean when it has more rows than columns, else its
     # transpose.  There the null of rank r is (b_r + e)'(b_r + e) for the

@@ -63,7 +63,7 @@ def benchmark_grid():
     runs = []
     for scenario in ("i", "ii"):
         runs.extend(
-            run_validation(scenario, replicates=5, base_seed=0, options=GRID_OPTIONS)
+            run_validation(scenario, replicates=5, options=GRID_OPTIONS)
         )
     elapsed = time.monotonic() - start
     return runs, elapsed
@@ -212,8 +212,9 @@ def test_c6_normalization_and_test_invariances():
 
     def count(mean: np.ndarray, var: np.ndarray) -> int:
         spectrum = reconstruction_spectrum(mean, q=6)
-        predictive = Reconstruction(mean=mean, var=var + model.noise_var)
-        posterior, null = sample_rank_null_spectra(predictive, spectrum, cfg)
+        posterior, null = sample_rank_null_spectra(
+            Reconstruction(mean=mean, var=var), spectrum, cfg, model.noise_var
+        )
         return count_significant(posterior, null, cfg).n_significant
 
     base_count = count(recon.mean, recon.var)
@@ -250,12 +251,11 @@ def test_c7_false_positive_rate_on_pure_null():
     recon = reconstruct(model)
     spectrum = reconstruction_spectrum(recon.mean, q=10)
     kept = int(np.count_nonzero(spectrum.eigenvalues))
-    predictive = Reconstruction(mean=recon.mean, var=recon.var + model.noise_var)
     false_positives = 0
     top_p = []
     for seed in range(50):
         cfg = SigTestConfig(n_null_samples=500, alpha=0.05, seed=seed)
-        posterior, null = sample_rank_null_spectra(predictive, spectrum, cfg)
+        posterior, null = sample_rank_null_spectra(recon, spectrum, cfg, model.noise_var)
         result = count_significant(posterior, null, cfg)
         false_positives += result.n_significant >= 1
         top_p.append(float(result.raw_p[0]))
@@ -286,8 +286,9 @@ def test_c6_paired_count_invariant_under_row_permutation():
 
     def count(mean: np.ndarray, var: np.ndarray) -> int:
         spectrum = reconstruction_spectrum(mean, q=6)
-        predictive = Reconstruction(mean=mean, var=var + model.noise_var)
-        posterior, null = sample_rank_null_spectra(predictive, spectrum, cfg)
+        posterior, null = sample_rank_null_spectra(
+            Reconstruction(mean=mean, var=var), spectrum, cfg, model.noise_var
+        )
         return count_significant(posterior, null, cfg).n_significant
 
     base_count = count(recon.mean, recon.var)
@@ -355,7 +356,7 @@ def test_c9_reports_byte_identical_across_runs_and_workers():
     reports_ok = texts[0] == texts[1] == texts[2]
     # The worker count acts only where a grid is spread over processes.
     grid_options = AnalysisOptions(n_null_samples=100, q_max=6)
-    serial, pooled = (run_validation("i", 1, 0, grid_options, workers=w) for w in (1, 3))
+    serial, pooled = (run_validation("i", 1, grid_options, workers=w) for w in (1, 3))
     runs_ok = pooled == serial
     ok = reports_ok and runs_ok
     verdict(

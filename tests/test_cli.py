@@ -214,6 +214,18 @@ class TestAnalyze:
         assert stat.S_IMODE(report.stat().st_mode) == 0o666 & ~umask
         assert json.loads(report.read_text())["rows"] == 12
 
+    @pytest.mark.parametrize("flag", ["--out", "--csv-out"])
+    def test_unwritable_path_is_named_as_given(self, tmp_path, monkeypatch, capsys, flag):
+        data = synth_file(tmp_path, rows=12, cols=5, significant=2, seed=1)
+        monkeypatch.chdir(tmp_path)
+        argv = ["analyze", str(data), "--null-samples", "100", flag, "missing_dir/r.json"]
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sigpca: error: ")
+        assert "No such file or directory: 'missing_dir/r.json'" in err
+        assert ".tmp" not in err
+        assert not (tmp_path / "missing_dir").exists()
+
     @pytest.mark.parametrize("shape", [(100, 2), (2, 100)], ids=["two-cols", "two-rows"])
     def test_two_rows_or_columns_name_the_default_count_rule(self, tmp_path, capsys, shape):
         values = np.random.default_rng(5).standard_normal(shape)
@@ -328,6 +340,14 @@ class TestValidate:
             "n_components,estimated_significant"
         )
         assert runs_lines[1] == "i,150,15,2,0,11,14,2"
+
+    def test_base_seed_is_the_options_seed(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_validation", lambda *a, **k: calls.append(k) or [])
+        monkeypatch.setattr(cli, "summarize_validation", lambda runs: [{"cell": 1}])
+        assert run_cli(["validate", "--scenario", "i", "--base-seed", "7"]) == 0
+        assert calls[0]["options"].seed == 7
+        assert "base_seed" not in calls[0]
 
     def test_zero_replicates_rejected(self, tmp_path):
         code = run_cli(

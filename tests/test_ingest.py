@@ -85,6 +85,13 @@ class TestSchemaFile:
         schema = read_schema(path)
         assert [c.name for c in schema] == ["height", "flag"]
 
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path):
+        # Spreadsheet "CSV UTF-8" exports start the file with a byte-order mark.
+        path = tmp_path / "schema.txt"
+        path.write_text("height continuous\nflag binary no,yes\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert read_schema(path) == (MIXED_SCHEMA[0], MIXED_SCHEMA[2])
+
     def test_errors_name_the_line(self, tmp_path):
         path = tmp_path / "schema.txt"
         write_lines(path, ["height continuous", "broken"])
@@ -119,6 +126,15 @@ class TestLoadCsv:
         assert ds.matrix.values[1, 3] == 2.0  # high -> level index 2
         assert ds.matrix.values[0, 0] == 1.5
         assert len(ds.provenance) == 1
+
+    def test_byte_order_mark_before_the_header_is_skipped(self, tmp_path):
+        plain = mixed_csv(tmp_path, ["1.5,red,yes,low", "2.5,NA,no,high", ",blue,yes,mid"])
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        expected = load_csv(plain, MIXED_SCHEMA).matrix
+        matrix = load_csv(marked, MIXED_SCHEMA).matrix
+        assert np.array_equal(matrix.values, expected.values)
+        assert np.array_equal(matrix.mask, expected.mask)
 
     def test_header_must_match_schema(self, tmp_path):
         path = tmp_path / "data.csv"

@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from sigpca import (
     ConfigError,
     DataError,
     MaskedMatrix,
-    Reconstruction,
     SyntheticSpec,
     ValidationRun,
     analyze_matrix,
@@ -28,6 +28,7 @@ from sigpca import (
     report_to_json,
     run_validation,
     sample_rank_null_spectra,
+    scenario_grid,
     summarize_validation,
 )
 from sigpca import pipeline
@@ -345,38 +346,34 @@ class TestRunValidation:
         ]
         monkeypatch.setattr(pipeline, "scenario_grid", lambda *args, **kwargs: specs)
         options = AnalysisOptions(n_null_samples=100)
-        serial = run_validation("i", 1, 0, options, workers=1)
-        pooled = run_validation("i", 1, 0, options, workers=2)
+        serial = run_validation("i", 1, options, workers=1)
+        pooled = run_validation("i", 1, options, workers=2)
         assert [run.seed for run in serial] == [21, 22, 23]
         assert pooled == serial
 
     def test_worker_count_is_checked_and_is_no_analysis_option(self):
         for bad in (0, 1.5):
             with pytest.raises(ConfigError, match="workers"):
-                run_validation("i", 1, 0, AnalysisOptions(), workers=bad)
+                run_validation("i", 1, AnalysisOptions(), workers=bad)
         with pytest.raises(TypeError):
             AnalysisOptions(workers=2)
 
-    def test_options_seed_is_ignored(self, monkeypatch):
-        specs = [
-            SyntheticSpec(n_rows=20, n_cols=cols, n_significant=2, seed=seed)
-            for cols, seed in ((8, 21), (10, 22))
-        ]
-        monkeypatch.setattr(pipeline, "scenario_grid", lambda *args, **kwargs: specs)
+    def test_options_seed_is_the_grid_seed(self, monkeypatch):
         seen = []
-        run_one = pipeline._run_one_validation
 
         def recording(spec, options):
-            seen.append(options.seed)
-            return run_one(spec, options)
+            seen.append((spec, options))
+            return 2, 1
 
         monkeypatch.setattr(pipeline, "_run_one_validation", recording)
-        runs = [
-            run_validation("i", 1, 0, AnalysisOptions(n_null_samples=100, seed=seed))
-            for seed in (0, 5)
-        ]
-        assert runs[1] == runs[0]
-        assert seen == 2 * [derive_seed(spec.seed, 101) for spec in specs]
+        options = AnalysisOptions(n_null_samples=100, seed=5)
+        runs = run_validation("i", 2, options)
+        specs = scenario_grid("i", base_seed=5, replicates=2)
+        assert [spec for spec, _ in seen] == specs
+        assert [run.seed for run in runs] == [spec.seed for spec in specs]
+        expected = [replace(options, seed=derive_seed(spec.seed, 101)) for spec in specs]
+        assert [run_options for _, run_options in seen] == expected
+        assert specs != scenario_grid("i", base_seed=0, replicates=2)
 
 
 class TestDocumentedChain:
@@ -392,11 +389,8 @@ class TestDocumentedChain:
         model = fit(data, fit_config)
         recon = reconstruct(model)
         flat = data.values.ravel()  # masked-out entries are zero
-        spectrum = reconstruction_spectrum(
-            recon.mean, model.n_components, 1e-9 * float(np.dot(flat, flat))
-        )
-        predictive = Reconstruction(recon.mean, recon.var + model.noise_var)
-        posterior, null = sample_rank_null_spectra(predictive, spectrum, sig_config)
+        spectrum = reconstruction_spectrum(recon.mean, model.n_components, np.dot(flat, flat))
+        posterior, null = sample_rank_null_spectra(recon, spectrum, sig_config, model.noise_var)
         test = count_significant(posterior, null, sig_config)
 
         expected = analyze_matrix(data, options).test

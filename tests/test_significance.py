@@ -153,10 +153,16 @@ class TestReconstructionSpectrum:
         x = np.diag([10.0, 3.0, 0.1])  # Gram eigenvalues 100, 9, 0.01
         no_floor = reconstruction_spectrum(x, q=3)
         assert np.count_nonzero(no_floor.eigenvalues) == 3
-        floored = reconstruction_spectrum(x, q=3, energy_floor=1.0)
+        # Data energies whose floors, 1e-9 of the energy, are 1 and 200.
+        floored = reconstruction_spectrum(x, q=3, data_energy=1e9)
         assert np.count_nonzero(floored.eigenvalues) == 2
-        everything = reconstruction_spectrum(x, q=3, energy_floor=200.0)
+        everything = reconstruction_spectrum(x, q=3, data_energy=2e11)
         assert np.array_equal(everything.eigenvalues, np.zeros(3))
+
+    @pytest.mark.parametrize("energy", [0.0, 1.0, 2e11, 123.456])
+    def test_floor_is_a_fixed_fraction_of_the_data_energy(self, energy):
+        x = np.random.default_rng(25).standard_normal((8, 5))
+        assert reconstruction_spectrum(x, 3, energy).floor == 1e-9 * energy
 
     def test_validation(self):
         x = np.zeros((6, 4))
@@ -166,10 +172,9 @@ class TestReconstructionSpectrum:
             reconstruction_spectrum(x, q=5)
         with pytest.raises(ShapeError):
             reconstruction_spectrum(np.zeros(6), q=2)
-        with pytest.raises(ConfigError):
-            reconstruction_spectrum(x, q=2, energy_floor=-1.0)
-        with pytest.raises(ConfigError):
-            reconstruction_spectrum(x, q=2, energy_floor=float("nan"))
+        for energy in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="data_energy"):
+                reconstruction_spectrum(x, q=2, data_energy=energy)
 
 
 class TestSampleNullSpectra:
@@ -181,9 +186,9 @@ class TestSampleNullSpectra:
         var = gen.uniform(0.1, 0.5, size=(n, p))
         return Reconstruction(mean=mean, var=var)
 
-    def posterior(self, recon, q, config, energy_floor=0.0):
-        spectrum = reconstruction_spectrum(recon.mean, q=q, energy_floor=energy_floor)
-        return sample_rank_null_spectra(recon, spectrum, config)[0]
+    def posterior(self, recon, q, config):
+        spectrum = reconstruction_spectrum(recon.mean, q=q)
+        return sample_rank_null_spectra(recon, spectrum, config, 0.0)[0]
 
     def test_zero_variance_null_equals_observed_spectrum_exactly(self):
         recon = Reconstruction(mean=self.make_recon().mean, var=np.zeros((10, 6)))
@@ -216,12 +221,12 @@ class TestSampleNullSpectra:
     def test_validation(self):
         recon = self.make_recon()
         with pytest.raises(ConfigError):
-            sample_rank_null_spectra(recon, Spectrum([1.0]), SigTestConfig())
+            sample_rank_null_spectra(recon, Spectrum([1.0]), SigTestConfig(), 0.0)
         with pytest.raises(ConfigError):
-            sample_rank_null_spectra(recon, Spectrum(np.ones(7)), SigTestConfig())
+            sample_rank_null_spectra(recon, Spectrum(np.ones(7)), SigTestConfig(), 0.0)
         with pytest.raises(ConfigError):
             sample_rank_null_spectra(
-                recon, Spectrum(np.ones(3), float("nan")), SigTestConfig()
+                recon, Spectrum(np.ones(3), float("nan")), SigTestConfig(), 0.0
             )
         with pytest.raises(ConfigError):
             SigTestConfig(n_null_samples=99)
@@ -265,39 +270,57 @@ class TestSampleRankNullSpectra:
         recon = self.make_recon()
         spectrum = reconstruction_spectrum(recon.mean, q=5)
         cfg = SigTestConfig(n_null_samples=100, seed=4)
-        posterior, null = sample_rank_null_spectra(recon, spectrum, cfg)
+        posterior, null = sample_rank_null_spectra(recon, spectrum, cfg, 0.0)
         assert not posterior.flags.writeable and not null.flags.writeable
         assert np.array_equal(posterior, full_draw_reference(recon, 5, 2, cfg)[0])
         # The mean has two components; past them nothing is removed.
         assert np.array_equal(null[:, 2:], posterior[:, 2:])
         assert np.all(null[:, :2] < posterior[:, :2])
 
+    def test_noise_variance_adds_to_the_reconstruction_variance(self):
+        recon = self.make_recon()
+        spectrum = reconstruction_spectrum(recon.mean, q=5)
+        cfg = SigTestConfig(n_null_samples=100, seed=4)
+        noise_var = 0.0123
+        added = sample_rank_null_spectra(recon, spectrum, cfg, noise_var)
+        folded = Reconstruction(mean=recon.mean, var=recon.var + noise_var)
+        expected = sample_rank_null_spectra(folded, spectrum, cfg, 0.0)
+        for actual, wanted in zip(added, expected):
+            assert np.array_equal(actual, wanted, equal_nan=True)
+        assert not np.array_equal(added[0], sample_rank_null_spectra(recon, spectrum, cfg, 0.0)[0])
+
+    @pytest.mark.parametrize("noise_var", [-1.0, float("nan"), float("inf")])
+    def test_noise_variance_must_be_finite_and_nonnegative(self, noise_var):
+        recon = self.make_recon()
+        spectrum = reconstruction_spectrum(recon.mean, q=5)
+        with pytest.raises(ConfigError, match="noise_var"):
+            sample_rank_null_spectra(recon, spectrum, SigTestConfig(n_null_samples=100), noise_var)
+
     def test_zero_variance_nulls_lack_exactly_the_tested_component(self):
         recon = Reconstruction(mean=self.make_recon().mean, var=np.zeros((12, 7)))
         spectrum = reconstruction_spectrum(recon.mean, q=5)
         cfg = SigTestConfig(n_null_samples=100)
-        posterior, null = sample_rank_null_spectra(recon, spectrum, cfg)
+        posterior, null = sample_rank_null_spectra(recon, spectrum, cfg, 0.0)
         assert np.array_equal(null[:, :2], np.zeros((100, 2)))
         result = count_significant(posterior, null, cfg)
         assert result.n_significant == 2
         assert np.array_equal(result.raw_p, [0.0, 0.0, 1.0])
 
     @pytest.mark.parametrize(
-        "n, p, k, energy_floor, n_retired",
-        [(12, 7, 2, 0.0, 0), (12, 7, 0, 0.0, 0), (10, 10, 4, 0.0, 0), (6, 11, 3, 1e-3, 2)],
+        "n, p, k, data_energy, n_retired",
+        [(12, 7, 2, 0.0, 0), (12, 7, 0, 0.0, 0), (10, 10, 4, 0.0, 0), (6, 11, 3, 1e6, 2)],
         ids=["kept-ranks", "zero-ranks", "square", "wide"],
     )
-    def test_rows_equal_the_one_matrix_computation(self, n, p, k, energy_floor, n_retired):
+    def test_rows_equal_the_one_matrix_computation(self, n, p, k, data_energy, n_retired):
         gen = np.random.default_rng(34)
         mean = rank_k_matrix(n, p, k, seed=34) if k else np.zeros((n, p))
         recon = Reconstruction(mean=mean, var=gen.uniform(0.005, 0.3, size=(n, p)))
         q = min(n, p) - 1
-        spectrum = reconstruction_spectrum(mean, q=q, energy_floor=energy_floor)
+        spectrum = reconstruction_spectrum(mean, q=q, data_energy=data_energy)
         assert np.count_nonzero(spectrum.eigenvalues) == k
         cfg = SigTestConfig(n_null_samples=100, seed=6)
-        assert spectrum.floor == energy_floor
-        posterior, null = sample_rank_null_spectra(recon, spectrum, cfg)
-        expected_post, expected_null = full_draw_reference(recon, q, k, cfg, energy_floor)
+        posterior, null = sample_rank_null_spectra(recon, spectrum, cfg, 0.0)
+        expected_post, expected_null = full_draw_reference(recon, q, k, cfg, spectrum.floor)
         assert np.array_equal(posterior, expected_post)
         retired = retired_ranks(null)
         drawn = ~retired
@@ -426,7 +449,7 @@ class TestNullRetirement:
         on every rank drawn in full; returns the result and retired ranks."""
         spectrum = reconstruction_spectrum(recon.mean, q=q)
         assert np.count_nonzero(spectrum.eigenvalues) == k
-        posterior, null = sample_rank_null_spectra(recon, spectrum, cfg)
+        posterior, null = sample_rank_null_spectra(recon, spectrum, cfg, 0.0)
         result = count_significant(posterior, null, cfg)
         ref_post, ref_null = full or full_draw_reference(recon, q, k, cfg)
         assert np.array_equal(posterior, ref_post)
@@ -458,7 +481,7 @@ class TestNullRetirement:
         recon = weak_tail_recon(9, 14, [5, 2, 0.8, 0.5, 0.4], 0.05)
         spectrum = reconstruction_spectrum(recon.mean, q=8)
         cfg = SigTestConfig(n_null_samples=100, alpha=0.05, seed=3)
-        posterior, null = sample_rank_null_spectra(recon, spectrum, cfg)
+        posterior, null = sample_rank_null_spectra(recon, spectrum, cfg, 0.0)
         assert np.array_equal(np.flatnonzero(retired_ranks(null)), [2, 3, 4])
         result = count_significant(posterior, null, cfg)
         # Rank 2's raw p of 0.01 times 7 ranks stops the test at alpha
@@ -503,7 +526,7 @@ class TestSharedNoiseGram:
         assert np.count_nonzero(spectrum.eigenvalues) == k
         cfg = SigTestConfig(n_null_samples=100, seed=3)
         monkeypatch.setattr(significance, "sym_eigvals", recording_eigvals)
-        sample_rank_null_spectra(recon, spectrum, cfg)
+        sample_rank_null_spectra(recon, spectrum, cfg, 0.0)
         assert len(stacks) == cfg.n_null_samples
 
         u, s, vt = np.linalg.svd(recon.mean, full_matrices=False)
@@ -676,8 +699,9 @@ class TestEndToEndSpectrumProperties:
 
         def count(mean, var):
             spectrum = reconstruction_spectrum(mean, q=6)
-            predictive = Reconstruction(mean=mean, var=var + model.noise_var)
-            posterior, null = sample_rank_null_spectra(predictive, spectrum, cfg)
+            posterior, null = sample_rank_null_spectra(
+                Reconstruction(mean=mean, var=var), spectrum, cfg, model.noise_var
+            )
             return count_significant(posterior, null, cfg).n_significant
 
         perm = np.random.default_rng(32).permutation(40)
